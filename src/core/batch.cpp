@@ -4,9 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
-#include "core/faultpoint.h"
 #include "core/history.h"
-#include "store/commit_log.h"
 
 namespace qrdtm::core {
 
@@ -74,21 +72,10 @@ sim::Task<void> BatchPlanner::run_loop() {
 }
 
 void BatchPlanner::absorb(Txn& txn, std::vector<CommittedTxn>* records) {
-  CommittedTxn rec;
-  if (records != nullptr) {
-    rec.txn = txn.scope_id_;
-    rec.node = rt_.node();
-    rec.reads.reserve(txn.readset_.size());
-    // Collect-then-sort: recorded order is by object id regardless of the
-    // sets' hash order.  qrdtm-lint: allow(det-unordered-iter)
-    for (const auto& [id, oc] : txn.readset_) {
-      rec.reads.push_back(HistoryRead{id, oc.copy.version});
-    }
-    std::sort(rec.reads.begin(), rec.reads.end(),
-              [](const HistoryRead& a, const HistoryRead& b) {
-                return a.id < b.id;
-              });
-  }
+  // The member's copies sit at the speculative head, so its record reads
+  // base -> base+1 per write exactly like a flat commit; the batch stamps
+  // the commit tick once the round commits.
+  if (records != nullptr) records->push_back(rt_.history_record(txn, 0));
   // The write fold mutates the queue cache, so it must run in a fixed
   // order; collect-then-sort the ids first.
   std::vector<ObjectId> wids;
@@ -107,15 +94,10 @@ void BatchPlanner::absorb(Txn& txn, std::vector<CommittedTxn>* records) {
     // Sequential speculation: the member acquired the copy at the current
     // speculative head.
     QRDTM_DCHECK(oc.copy.version == bo.base + bo.steps);
-    if (records != nullptr) {
-      rec.writes.push_back(HistoryWrite{id, oc.copy.version,
-                                        oc.copy.version + 1, oc.copy.data});
-    }
     ++bo.steps;
     bo.data = oc.copy.data;
     bo.written = true;
   }
-  if (records != nullptr) records->push_back(std::move(rec));
 }
 
 void BatchPlanner::rollback_cache(const std::vector<ObjectId>& stale) {
@@ -146,6 +128,8 @@ void BatchPlanner::rollback_cache(const std::vector<ObjectId>& stale) {
 
 sim::Task<bool> BatchPlanner::commit_round(TxnId batch_id,
                                            std::vector<ObjectId>* stale) {
+  // order_ holds every batch object, so the round's union write quorum
+  // spans all touched cohorts.
   BatchCommitRequest req;
   req.batch = batch_id;
   for (ObjectId id : order_) {
@@ -156,127 +140,19 @@ sim::Task<bool> BatchPlanner::commit_round(TxnId batch_id,
       req.readset.push_back(CommitReadEntry{id, bo.base});
     }
   }
-  const sim::Tick commit_start = rt_.simulator().now();
-
-  // Copy of the memoised quorum: the confirm must reach the same members
-  // the request went to even if a failure regenerates the cache mid-round.
-  // order_ holds every batch object (reads and writes), so the union spans
-  // all touched cohorts.
-  std::vector<net::NodeId> wq;
   try {
-    wq = rt_.union_write_quorum(order_);
+    RoundVotes votes = co_await rt_.two_phase_commit(std::move(req));
+    *stale = std::move(votes.stale);
+    co_return votes.commit;
   } catch (AbortException&) {
-    // Unformable quorum under a zombie coordinator: infrastructure
-    // failure, re-fetch everything on the next round.
-    stale->clear();
-    co_return false;
+    // Unformable quorum under a zombie coordinator, or a crash before the
+    // decision was durable (no confirm left): re-fetch everything.
   } catch (const quorum::QuorumUnavailable&) {
     // Live coordinator but too many members down mid-chaos: equally
     // transient, same recovery -- retry once membership heals.
-    stale->clear();
-    co_return false;
   }
-  ++rt_.metrics().commit_requests;
-  rt_.metrics().commit_messages += wq.size();
-  Writer reqw(rt_.rpc_.acquire_buffer(msg::kBatchCommitRequest));
-  req.encode_into(reqw);
-  Bytes reqbytes = std::move(reqw).take();
-  if (rt_.tracer_ != nullptr) rt_.rpc_.set_trace_context(batch_id);
-  auto futures = rt_.rpc_.multicast(wq, msg::kBatchCommitRequest, reqbytes,
-                                    rt_.config().rpc_timeout);
-  if (rt_.tracer_ != nullptr) rt_.rpc_.set_trace_context(0);
-  rt_.rpc_.release_buffer(std::move(reqbytes));
-
-  bool all_commit = true;
-  for (auto& f : futures) {
-    net::RpcResult res = co_await f;
-    rt_.report_rpc_outcome(res.from, res.ok);
-    if (!res.ok) {
-      all_commit = false;  // dead or unreachable member counts as abort
-      continue;
-    }
-    BatchVoteResponse vote = BatchVoteResponse::decode(res.payload);
-    rt_.rpc_.release_buffer(std::move(res.payload));
-    if (!vote.commit) {
-      all_commit = false;
-      stale->insert(stale->end(), vote.stale.begin(), vote.stale.end());
-    }
-  }
-  std::sort(stale->begin(), stale->end());
-  stale->erase(std::unique(stale->begin(), stale->end()), stale->end());
-
-  // With no writes nothing was protected and nothing is applied: the vote
-  // alone validates the read bases, so the confirm round is skipped.
-  const std::uint64_t nwrites = req.writeset.size();
-  if (!req.writeset.empty()) {
-    BatchCommitConfirm confirm;
-    confirm.batch = batch_id;
-    confirm.commit = all_commit;
-    confirm.writeset = std::move(req.writeset);
-    Writer cw(rt_.rpc_.acquire_buffer(msg::kBatchCommitConfirm));
-    confirm.encode_into(cw);
-    Bytes encoded = std::move(cw).take();
-
-    // Durable decision record before any confirm leaves, same contract as
-    // the per-transaction path (DESIGN.md §17); one decision covers the
-    // whole batch.
-    const bool log_decision = rt_.local_log_ != nullptr;
-    if (log_decision) {
-      const FaultAction at_decision =
-          rt_.faults_ != nullptr
-              ? rt_.faults_->fire(fp::kDecisionBeforeLog, rt_.node())
-              : FaultAction::kNone;
-      if (at_decision == FaultAction::kPanic) {
-        // Crashed before the decision was durable: no confirm leaves and
-        // the batch must not succeed -- members retry (and stall against
-        // the dead node) while the prepared replicas presumed-abort.
-        rt_.rpc_.release_buffer(std::move(encoded));
-        stale->clear();
-        co_return false;
-      }
-      if (at_decision != FaultAction::kSkip) {
-        store::Decision d;
-        d.epoch = rt_.rpc_.network().epoch(rt_.node());
-        d.commit = all_commit;
-        d.confirm_kind = msg::kBatchCommitConfirm;
-        d.members.assign(wq.begin(), wq.end());
-        d.payload = encoded;
-        rt_.local_log_->append_decision(batch_id, std::move(d));
-      }
-    }
-
-    rt_.metrics().commit_messages += wq.size();
-    if (rt_.tracer_ != nullptr) rt_.rpc_.set_trace_context(batch_id);
-    bool died_mid_broadcast = false;
-    for (net::NodeId n : wq) {
-      if (rt_.faults_ != nullptr &&
-          rt_.faults_->fire(fp::kConfirmPartial, rt_.node()) ==
-              FaultAction::kPanic) {
-        died_mid_broadcast = true;
-      }
-      Bytes copy = rt_.rpc_.acquire_buffer(msg::kBatchCommitConfirm);
-      copy.assign(encoded.begin(), encoded.end());
-      rt_.rpc_.notify(n, msg::kBatchCommitConfirm, std::move(copy));
-    }
-    if (rt_.tracer_ != nullptr) rt_.rpc_.set_trace_context(0);
-    rt_.rpc_.release_buffer(std::move(encoded));
-    if (log_decision && !died_mid_broadcast) {
-      rt_.local_log_->settle_decision(batch_id);
-    }
-
-    // One commit-settle per *batch*: the confirm-propagation charge is paid
-    // once for the whole cohort, not once per member transaction.
-    if (rt_.config().commit_settle > 0) {
-      co_await rt_.simulator().delay(rt_.config().commit_settle);
-    }
-  }
-
-  if (rt_.tracer_ != nullptr) {
-    rt_.tracer_->span(TraceKind::kCommit2pc, rt_.node(), batch_id,
-                      commit_start, rt_.simulator().now(), nwrites,
-                      /*local=*/0);
-  }
-  co_return all_commit;
+  stale->clear();
+  co_return false;
 }
 
 sim::Task<void> BatchPlanner::run_batch(std::vector<Pending> batch) {

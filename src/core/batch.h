@@ -91,9 +91,10 @@ class BatchPlanner {
   /// retrying on rollback; resolves every member's promise.
   sim::Task<void> run_batch(std::vector<Pending> batch);
 
-  /// One batch 2PC round.  Returns true on commit; on abort fills `stale`
-  /// with the union of replica-reported stale ids (empty = diagnose
-  /// nothing, invalidate everything).
+  /// One batch 2PC round (TxnRuntime::two_phase_commit over the batch wire
+  /// family).  Returns true on commit; on abort fills `stale` with the
+  /// union of replica-reported stale ids (empty = diagnose nothing,
+  /// invalidate everything).
   sim::Task<bool> commit_round(TxnId batch_id, std::vector<ObjectId>* stale);
 
   /// Fold one executed member's sets into the queue cache (and, when a

@@ -341,6 +341,9 @@ sim::Task<void> Cluster::recover_task(net::NodeId node) {
           // the checkpoint image instead of re-pulling it.
           server.cut_checkpoint();
           ++metrics_.checkpoint_cuts;
+          // Prepares the replay left pending missed their confirm while the
+          // node was down: ask the coordinator and peers for the outcome.
+          server.terminate_replayed_prepares();
         }
         server.set_syncing(false);
         quorums_->on_recovery(node);

@@ -41,41 +41,45 @@ QrServer::QrServer(net::RpcEndpoint& rpc) : rpc_(rpc), id_(rpc.id()) {
                          resp.encode_into(w);
                          return std::move(w).take();
                        });
+  // Both 2PC families land on the one vote and the one confirm routine; a
+  // vote reply is traced and encoded the same way for either kind.
+  const auto reply = [this](net::MsgKind kind,
+                            const auto& vote) -> std::optional<Bytes> {
+    if (tracer_ != nullptr) {
+      tracer_->instant(TraceKind::kServerVote, id_, rpc_.inbound_trace(),
+                       rpc_.simulator().now(), vote.commit ? 1 : 0);
+    }
+    Writer w(rpc_.acquire_buffer(kind));
+    vote.encode_into(w);
+    return std::move(w).take();
+  };
   rpc.register_service(
       msg::kCommitRequest,
-      [this](net::NodeId, const Bytes& b) -> std::optional<Bytes> {
-        VoteResponse vote = handle_commit_request(CommitRequest::decode(b));
-        if (tracer_ != nullptr) {
-          tracer_->instant(TraceKind::kServerVote, id_, rpc_.inbound_trace(),
-                           rpc_.simulator().now(), vote.commit ? 1 : 0);
-        }
-        Writer w(rpc_.acquire_buffer(msg::kCommitRequest));
-        vote.encode_into(w);
-        return std::move(w).take();
+      [this, reply](net::NodeId, const Bytes& b) -> std::optional<Bytes> {
+        const CommitRequest req = CommitRequest::decode(b);
+        const bool commit = vote(req.txn, req.readset, req.writeset).commit;
+        // The per-transaction reply carries the verdict only.
+        return reply(msg::kCommitRequest, VoteResponse{commit});
+      });
+  rpc.register_service(
+      msg::kBatchCommitRequest,
+      [this, reply](net::NodeId, const Bytes& b) -> std::optional<Bytes> {
+        const BatchCommitRequest req = BatchCommitRequest::decode(b);
+        return reply(msg::kBatchCommitRequest,
+                     vote(req.batch, req.readset, req.writeset));
       });
   rpc.register_service(
       msg::kCommitConfirm,
       [this](net::NodeId, const Bytes& b) -> std::optional<Bytes> {
-        handle_commit_confirm(CommitConfirm::decode(b));
+        const CommitConfirm c = CommitConfirm::decode(b);
+        confirm(c.txn, c.commit, c.writeset);
         return std::nullopt;  // one-way
-      });
-  rpc.register_service(
-      msg::kBatchCommitRequest,
-      [this](net::NodeId, const Bytes& b) -> std::optional<Bytes> {
-        BatchVoteResponse vote =
-            handle_batch_commit_request(BatchCommitRequest::decode(b));
-        if (tracer_ != nullptr) {
-          tracer_->instant(TraceKind::kServerVote, id_, rpc_.inbound_trace(),
-                           rpc_.simulator().now(), vote.commit ? 1 : 0);
-        }
-        Writer w(rpc_.acquire_buffer(msg::kBatchCommitRequest));
-        vote.encode_into(w);
-        return std::move(w).take();
       });
   rpc.register_service(
       msg::kBatchCommitConfirm,
       [this](net::NodeId, const Bytes& b) -> std::optional<Bytes> {
-        handle_batch_commit_confirm(BatchCommitConfirm::decode(b));
+        const BatchCommitConfirm c = BatchCommitConfirm::decode(b);
+        confirm(c.batch, c.commit, c.writeset);
         return std::nullopt;  // one-way
       });
   rpc.register_service(msg::kSyncPull,
@@ -311,54 +315,66 @@ ReadResponse QrServer::handle_read(const ReadRequest& req) {
   return resp;
 }
 
-VoteResponse QrServer::handle_commit_request(const CommitRequest& req) {
+QrServer::PreparedMeta QrServer::prepared_meta(TxnId txn) const {
+  const net::NodeId coord = coordinator_of(txn, rpc_.network().num_nodes());
+  return PreparedMeta{coord, coord < rpc_.network().num_nodes()
+                                 ? rpc_.network().epoch(coord)
+                                 : 0};
+}
+
+template <class WriteEntry>
+BatchVoteResponse QrServer::vote(TxnId txn,
+                                 const std::vector<CommitReadEntry>& reads,
+                                 const std::vector<WriteEntry>& updates) {
   // A syncing replica's versions are untrustworthy in both directions: a
-  // stale version would let a conflicting write pass validation.  Abort and
-  // let the coordinator retry once the quorum refreshes.
-  if (syncing_) return VoteResponse{.commit = false};
+  // stale version would let a conflicting write pass validation.  Abort with
+  // no stale report (the coordinator re-fetches everything when a vote
+  // carries no diagnosis) and let it retry once the quorum refreshes.
+  if (syncing_) return BatchVoteResponse{.commit = false, .stale = {}};
 
   // Decide commit/abort from local object state (paper §II): every read-set
-  // version must still be current here, and nothing in either set may be
-  // protected by a competing transaction.  The test-only bypass votes
-  // commit unconditionally -- the broken protocol the history checker must
-  // catch (stale reads and competing writers both slip through).
+  // version and write-set base must still be current here, and nothing may
+  // be protected by a competing transaction.  Every entry is checked, so an
+  // abort vote names all the stale ids (QR-Q re-fetches only those).  The
+  // test-only bypass votes commit unconditionally -- the broken protocol
+  // the history checker must catch.
+  BatchVoteResponse resp{.commit = true, .stale = {}};
   if (!skip_commit_validation_) {
-    for (const CommitReadEntry& e : req.readset) {
-      if (e.version < store_.version_of(e.id) ||
-          check_protected(e.id, req.txn)) {
-        return VoteResponse{.commit = false};
+    const auto check = [&](ObjectId id, Version version) {
+      if (version < store_.version_of(id) || check_protected(id, txn)) {
+        resp.commit = false;
+        resp.stale.push_back(id);
       }
-    }
-    for (const CommitWriteEntry& e : req.writeset) {
-      if (e.base < store_.version_of(e.id) ||
-          check_protected(e.id, req.txn)) {
-        return VoteResponse{.commit = false};
+    };
+    for (const CommitReadEntry& e : reads) check(e.id, e.version);
+    for (const WriteEntry& e : updates) check(e.id, e.base);
+    if (!resp.commit) return resp;
+    // Commit vote: lock the write-set (paper: object field protected =
+    // true).  The bypass takes no locks: with validation off two competing
+    // writers may both get here, and stacking protections would trip the
+    // store's single-protector invariant -- the broken protocol must fail
+    // by committing conflicting versions, not by crashing the replica.
+    for (const WriteEntry& e : updates) {
+      // A cross-shard multicast reaches the union of the touched cohorts'
+      // write quorums; each member only locks what it replicates.
+      if (replicated_here(e.id)) {
+        store_.protect(e.id, txn, rpc_.simulator().now());
       }
     }
   }
-  // Commit vote: lock the write-set (paper: object field protected = true).
-  // The test-only bypass skips the locks too: with validation off two
-  // competing writers may both reach this point, and stacking protections
-  // would (rightly) trip the store's single-protector invariant -- the
-  // broken protocol must fail by committing conflicting versions, not by
-  // crashing the replica.  unprotect() at confirm is a lenient no-op.
-  if (!skip_commit_validation_) {
-    for (const CommitWriteEntry& e : req.writeset) {
-      // A cross-shard commit multicast reaches the union of the touched
-      // cohorts' write quorums; each member only locks what it replicates.
-      if (!replicated_here(e.id)) continue;
-      store_.protect(e.id, req.txn, rpc_.simulator().now());
-    }
-  }
+  // A retried root reuses its id: this fresh round supersedes any older
+  // prepare of `txn` here, so a termination round still asking about the
+  // old one must not settle the new one with the old outcome.
+  if (!updates.empty()) term_.erase(txn);
   // WAL discipline: the vote is durable before the reply leaves the node.
   // Read-only write-sets log nothing (there is nothing to replay).
-  if (durable_log_ && !req.writeset.empty() &&
+  if (durable_log_ && !updates.empty() &&
       fault(fp::kLogPrepare) != FaultAction::kSkip) {
     std::vector<store::LoggedWrite> writes;
-    writes.reserve(req.writeset.size());
-    for (const CommitWriteEntry& e : req.writeset) {
+    writes.reserve(updates.size());
+    for (const WriteEntry& e : updates) {
       if (!replicated_here(e.id)) continue;
-      writes.push_back(store::LoggedWrite{e.id, e.base, 1, e.data});
+      writes.push_back(store::LoggedWrite{e.id, e.base, steps_of(e), e.data});
     }
     if (!writes.empty()) {
       // The protection is now prepared-backed: only a confirm or a
@@ -366,15 +382,10 @@ VoteResponse QrServer::handle_commit_request(const CommitRequest& req) {
       // coordinator's liveness epoch as seen at vote time so a later
       // termination round can tell "still deciding" from "restarted".
       for (const store::LoggedWrite& lw : writes) {
-        store_.mark_prepared(lw.id, req.txn);
+        store_.mark_prepared(lw.id, txn);
       }
-      const net::NodeId coord =
-          coordinator_of(req.txn, rpc_.network().num_nodes());
-      prepared_[req.txn] = PreparedMeta{
-          coord, coord < rpc_.network().num_nodes()
-                     ? rpc_.network().epoch(coord)
-                     : 0};
-      log_.append_prepare(req.txn, std::move(writes), liveness_epoch());
+      prepared_[txn] = prepared_meta(txn);
+      log_.append_prepare(txn, std::move(writes), liveness_epoch());
       maybe_autocut();
     }
   }
@@ -382,85 +393,24 @@ VoteResponse QrServer::handle_commit_request(const CommitRequest& req) {
   // reply is cut at send, so a kPanic here means the coordinator never
   // hears this vote).
   fault(fp::kServerVote);
-  return VoteResponse{.commit = true};
-}
-
-BatchVoteResponse QrServer::handle_batch_commit_request(
-    const BatchCommitRequest& req) {
-  // Same rule as the per-transaction vote: a syncing replica's versions are
-  // untrustworthy, so abort with no stale report (the coordinator refetches
-  // everything when a vote carries no diagnosis).
-  if (syncing_) return BatchVoteResponse{.commit = false, .stale = {}};
-
-  BatchVoteResponse resp{.commit = true, .stale = {}};
-  // The test-only bypass votes commit unconditionally and takes no
-  // protections, exactly like the per-transaction path: the broken protocol
-  // must fail by committing conflicting batches, not by crashing a replica.
-  if (!skip_commit_validation_) {
-    for (const CommitReadEntry& e : req.readset) {
-      if (e.version < store_.version_of(e.id) ||
-          check_protected(e.id, req.batch)) {
-        resp.commit = false;
-        resp.stale.push_back(e.id);
-      }
-    }
-    for (const BatchWriteEntry& e : req.writeset) {
-      if (e.base < store_.version_of(e.id) ||
-          check_protected(e.id, req.batch)) {
-        resp.commit = false;
-        resp.stale.push_back(e.id);
-      }
-    }
-    if (resp.commit) {
-      for (const BatchWriteEntry& e : req.writeset) {
-        if (!replicated_here(e.id)) continue;
-        store_.protect(e.id, req.batch, rpc_.simulator().now());
-      }
-    }
-  }
-  if (resp.commit && durable_log_ && !req.writeset.empty() &&
-      fault(fp::kLogPrepare) != FaultAction::kSkip) {
-    std::vector<store::LoggedWrite> writes;
-    writes.reserve(req.writeset.size());
-    for (const BatchWriteEntry& e : req.writeset) {
-      if (!replicated_here(e.id)) continue;
-      writes.push_back(store::LoggedWrite{e.id, e.base, e.steps, e.data});
-    }
-    if (!writes.empty()) {
-      // Same prepared-backing rule as the per-transaction vote: the batch
-      // decision covers the whole batch, keyed by its batch id.
-      for (const store::LoggedWrite& lw : writes) {
-        store_.mark_prepared(lw.id, req.batch);
-      }
-      const net::NodeId coord =
-          coordinator_of(req.batch, rpc_.network().num_nodes());
-      prepared_[req.batch] = PreparedMeta{
-          coord, coord < rpc_.network().num_nodes()
-                     ? rpc_.network().epoch(coord)
-                     : 0};
-      log_.append_prepare(req.batch, std::move(writes), liveness_epoch());
-      maybe_autocut();
-    }
-  }
-  if (resp.commit) fault(fp::kServerVote);
   return resp;
 }
 
-void QrServer::handle_batch_commit_confirm(const BatchCommitConfirm& confirm) {
+template <class WriteEntry>
+void QrServer::confirm(TxnId txn, bool commit,
+                       const std::vector<WriteEntry>& updates) {
   // At-least-once delivery: recovered coordinators and resolving peers
   // retransmit confirms, so a repeat within the same liveness epoch is
   // counted and dropped, never double-applied.  A live local prepare
   // (protection held / pending log entry) marks the confirm as the outcome
   // of a FRESH 2PC round -- a retried root reuses its id -- so it must be
   // applied, not deduped against the previous round's outcome.
-  bool live_prepare = log_.find_pending(confirm.batch) != nullptr;
-  for (const BatchWriteEntry& e : confirm.writeset) {
-    if (store_.holds_protection(e.id, confirm.batch)) {
-      live_prepare = true;
-      break;
-    }
-  }
-  if (!live_prepare && confirm_is_duplicate(confirm.batch)) return;
+  const bool live_prepare =
+      log_.find_pending(txn) != nullptr ||
+      std::any_of(updates.begin(), updates.end(), [&](const WriteEntry& e) {
+        return store_.holds_protection(e.id, txn);
+      });
+  if (!live_prepare && confirm_is_duplicate(txn)) return;
   // Crash (kPanic) or drop (kSkip) exactly at the confirm boundary: the
   // outcome is neither logged nor applied, and the protections stand until
   // the lease sheds them.
@@ -469,79 +419,26 @@ void QrServer::handle_batch_commit_confirm(const BatchCommitConfirm& confirm) {
   // WAL discipline: the outcome is durable before it is applied.  Only
   // transactions that logged a local prepare (some write replicated here)
   // need an outcome record.
-  bool any_local = false;
-  for (const BatchWriteEntry& e : confirm.writeset) {
-    if (replicated_here(e.id)) any_local = true;
-  }
+  const bool any_local =
+      std::any_of(updates.begin(), updates.end(),
+                  [&](const WriteEntry& e) { return replicated_here(e.id); });
   if (durable_log_ && any_local &&
       fault(fp::kLogConfirm) != FaultAction::kSkip) {
-    log_.append_confirm(confirm.batch, confirm.commit, liveness_epoch());
+    log_.append_confirm(txn, commit, liveness_epoch());
     maybe_autocut();
   }
-  if (confirm.commit) {
-    for (const BatchWriteEntry& e : confirm.writeset) {
-      if (!replicated_here(e.id)) continue;
-      // The batch read `base` through a read quorum (fresh by Q1) and
-      // absorbed `steps` speculative writes in queue order; every
-      // write-quorum member converges on base+steps with the final value.
-      // The intermediate versions exist only in the recorded history, where
-      // the checker certifies them as a serial chain.
-      store_.unprotect(e.id, confirm.batch);
-      store_.apply(e.id, e.base + e.steps, e.data);
-    }
-  } else {
-    for (const BatchWriteEntry& e : confirm.writeset) {
-      if (!replicated_here(e.id)) continue;
-      store_.unprotect(e.id, confirm.batch);
-    }
+  for (const WriteEntry& e : updates) {
+    if (!replicated_here(e.id)) continue;
+    store_.unprotect(e.id, txn);
+    // The writer read `base` through a read quorum (fresh by Q1) and
+    // absorbed `steps` writes in queue order, so base+steps is fresh and
+    // every write-quorum member converges on it.  The intermediate versions
+    // of a QR-Q batch exist only in the recorded history, where the checker
+    // certifies them as a serial chain.
+    if (commit) store_.apply(e.id, e.base + steps_of(e), e.data);
   }
-  store_.drop_txn(confirm.batch);
-  record_outcome(confirm.batch, confirm.commit);
-}
-
-void QrServer::handle_commit_confirm(const CommitConfirm& confirm) {
-  // At-least-once delivery; fresh-round detection as in
-  // handle_batch_commit_confirm (a retried root reuses its txn id).
-  bool live_prepare = log_.find_pending(confirm.txn) != nullptr;
-  for (const CommitWriteEntry& e : confirm.writeset) {
-    if (store_.holds_protection(e.id, confirm.txn)) {
-      live_prepare = true;
-      break;
-    }
-  }
-  if (!live_prepare && confirm_is_duplicate(confirm.txn)) return;
-  // Crash (kPanic) or drop (kSkip) exactly at the confirm boundary.
-  const FaultAction at_apply = fault(fp::kServerConfirmApply);
-  if (at_apply == FaultAction::kSkip || at_apply == FaultAction::kPanic) return;
-  // WAL discipline: the outcome is durable before it is applied.  Only
-  // transactions that logged a local prepare (some write replicated here)
-  // need an outcome record.
-  bool any_local = false;
-  for (const CommitWriteEntry& e : confirm.writeset) {
-    if (replicated_here(e.id)) any_local = true;
-  }
-  if (durable_log_ && any_local &&
-      fault(fp::kLogConfirm) != FaultAction::kSkip) {
-    log_.append_confirm(confirm.txn, confirm.commit, liveness_epoch());
-    maybe_autocut();
-  }
-  if (confirm.commit) {
-    for (const CommitWriteEntry& e : confirm.writeset) {
-      if (!replicated_here(e.id)) continue;
-      // The committed version is base+1.  The writer read `base` through a
-      // read quorum, so by Q1 it was the globally newest version; base+1 is
-      // therefore fresh, and every write-quorum member converges on it.
-      store_.unprotect(e.id, confirm.txn);
-      store_.apply(e.id, e.base + 1, e.data);
-    }
-  } else {
-    for (const CommitWriteEntry& e : confirm.writeset) {
-      if (!replicated_here(e.id)) continue;
-      store_.unprotect(e.id, confirm.txn);
-    }
-  }
-  store_.drop_txn(confirm.txn);
-  record_outcome(confirm.txn, confirm.commit);
+  store_.drop_txn(txn);
+  record_outcome(txn, commit);
 }
 
 bool QrServer::confirm_is_duplicate(TxnId txn) {
@@ -560,7 +457,7 @@ void QrServer::record_outcome(TxnId txn, bool commit) {
   term_.erase(txn);
 }
 
-void QrServer::start_termination(TxnId txn) {
+void QrServer::start_termination(TxnId txn, bool replayed) {
   if (term_.find(txn) != term_.end()) return;  // already running
   const auto pit = prepared_.find(txn);
   if (pit == prepared_.end()) return;  // no vote metadata (legacy rigs)
@@ -570,6 +467,7 @@ void QrServer::start_termination(TxnId txn) {
   }
 
   Termination t;
+  t.replayed = replayed;
   t.coordinator = pit->second.coordinator;
   t.coord_epoch = pit->second.coord_epoch;
   // Query targets: the coordinator plus the union of the write quorums of
@@ -711,11 +609,15 @@ void QrServer::resolve_indoubt(TxnId txn, bool commit) {
     log_.append_confirm(txn, commit, liveness_epoch());
     maybe_autocut();
   }
-  bool batch = false;
+  // A replayed prepare may be an earlier, aborted attempt of a root whose
+  // retry (same id) committed, so a commit verdict does not vouch for its
+  // writes: it is only settled.  The recovery sync that preceded the round
+  // pulled the committed versions from a full read quorum.
+  const auto it = term_.find(txn);
+  const bool replayed = it != term_.end() && it->second.replayed;
   for (const store::LoggedWrite& lw : writes) {
-    if (lw.steps > 1) batch = true;
     store_.unprotect(lw.id, txn);
-    if (commit) store_.apply(lw.id, lw.base + lw.steps, lw.data);
+    if (commit && !replayed) store_.apply(lw.id, lw.base + lw.steps, lw.data);
   }
   store_.drop_txn(txn);
   if (metrics_ != nullptr) {
@@ -732,47 +634,46 @@ void QrServer::resolve_indoubt(TxnId txn, bool commit) {
   // dedupe on (txn, epoch) and apply() keeps only strictly-newer versions.
   // Under sharded cohorts the writeset covers only locally-replicated
   // objects; cross-cohort peers resolve their own shard by querying us (we
-  // now answer kCommitted/kAborted from the applied-set).
-  const auto it = term_.find(txn);
-  if (it != term_.end() && !writes.empty()) {
-    const net::MsgKind kind =
-        batch ? msg::kBatchCommitConfirm : msg::kCommitConfirm;
-    Bytes encoded;
-    if (batch) {
-      BatchCommitConfirm confirm;
-      confirm.batch = txn;
-      confirm.commit = commit;
-      confirm.writeset.reserve(writes.size());
-      for (const store::LoggedWrite& lw : writes) {
-        confirm.writeset.push_back(
-            BatchWriteEntry{lw.id, lw.base, lw.steps, lw.data});
-      }
-      Writer w(rpc_.acquire_buffer(kind));
-      confirm.encode_into(w);
-      encoded = std::move(w).take();
-    } else {
-      CommitConfirm confirm;
-      confirm.txn = txn;
-      confirm.commit = commit;
-      confirm.writeset.reserve(writes.size());
-      for (const store::LoggedWrite& lw : writes) {
-        confirm.writeset.push_back(CommitWriteEntry{lw.id, lw.base, lw.data});
-      }
-      Writer w(rpc_.acquire_buffer(kind));
-      confirm.encode_into(w);
-      encoded = std::move(w).take();
+  // now answer kCommitted/kAborted from the applied-set).  A replayed
+  // prepare is not re-sent: its attempt's outcome must not settle a retry
+  // the peers hold prepared right now.  The batch form carries `steps`, so
+  // it re-sends a per-transaction prepare (steps = 1) as faithfully as a
+  // QR-Q one.
+  if (it != term_.end() && !replayed && !writes.empty()) {
+    BatchCommitConfirm confirm{.batch = txn, .commit = commit, .writeset = {}};
+    confirm.writeset.reserve(writes.size());
+    for (const store::LoggedWrite& lw : writes) {
+      confirm.writeset.push_back(
+          BatchWriteEntry{lw.id, lw.base, lw.steps, lw.data});
     }
-    if (metrics_ != nullptr) {
-      metrics_->commit_messages += it->second.targets.size();
-    }
-    for (net::NodeId n : it->second.targets) {
-      Bytes copy = rpc_.acquire_buffer(kind);
-      copy.assign(encoded.begin(), encoded.end());
-      rpc_.notify(n, kind, std::move(copy));
-    }
+    Writer w(rpc_.acquire_buffer(msg::kBatchCommitConfirm));
+    confirm.encode_into(w);
+    Bytes encoded = std::move(w).take();
+    send_confirm(it->second.targets, msg::kBatchCommitConfirm, encoded);
     rpc_.release_buffer(std::move(encoded));
   }
   record_outcome(txn, commit);
+}
+
+void QrServer::send_confirm(const std::vector<net::NodeId>& to,
+                            net::MsgKind kind, const Bytes& payload) {
+  for (net::NodeId n : to) {
+    Bytes copy = rpc_.acquire_buffer(kind);
+    copy.assign(payload.begin(), payload.end());
+    rpc_.notify(n, kind, std::move(copy));
+  }
+  if (metrics_ != nullptr) metrics_->commit_messages += to.size();
+}
+
+void QrServer::terminate_replayed_prepares() {
+  for (TxnId txn : log_.pending_txns()) {
+    // The vote-time coordinator epoch died with the old incarnation.  The
+    // coordinator's current epoch is a safe stand-in: it is at least the
+    // vote-time one, so presumed-abort still demands a coordinator restart
+    // after the vote -- it may just demand one more than strictly needed.
+    prepared_.try_emplace(txn, prepared_meta(txn));
+    start_termination(txn, /*replayed=*/true);
+  }
 }
 
 std::size_t QrServer::redrive_open_decisions() {
@@ -782,13 +683,7 @@ std::size_t QrServer::redrive_open_decisions() {
   for (const auto& [txn, d] : log_.open_decisions()) txns.push_back(txn);
   for (TxnId txn : txns) {
     const store::Decision& d = log_.open_decisions().at(txn);
-    const net::MsgKind kind = d.confirm_kind;
-    for (std::uint32_t m : d.members) {
-      Bytes copy = rpc_.acquire_buffer(kind);
-      copy.assign(d.payload.begin(), d.payload.end());
-      rpc_.notify(static_cast<net::NodeId>(m), kind, std::move(copy));
-    }
-    if (metrics_ != nullptr) metrics_->commit_messages += d.members.size();
+    send_confirm(d.members, d.confirm_kind, d.payload);
     // The broadcast left this (live) node: settle.  A crash during the
     // sends just re-drives again next restart -- receivers dedupe.
     log_.settle_decision(txn);

@@ -8,9 +8,12 @@
 //   * kRead          -- Rqv validation of the requester's data-set (Alg. 1 /
 //     Alg. 4), then serve the local copy (Alg. 2 "Remote"), maintaining
 //     PR/PW for root transactions only.
-//   * kCommitRequest -- 2PC vote: validate read-set versions and write-set
-//     bases, check protection, protect the write-set on a commit vote.
-//   * kCommitConfirm -- apply (or roll back) the protected write-set.
+//   * kCommitRequest / kBatchCommitRequest -- 2PC vote: validate read-set
+//     versions and write-set bases, check protection, protect the write-set
+//     on a commit vote.  One routine serves both: a flat commit is a batch
+//     of one (steps = 1).
+//   * kCommitConfirm / kBatchCommitConfirm -- apply (or roll back) the
+//     protected write-set, again through one routine.
 //   * kSyncPull      -- recovery catch-up: serve the full committed store to
 //     a rejoining replica (Cluster::recover_node's anti-entropy pull).
 //
@@ -147,6 +150,13 @@ class QrServer {
   /// new incarnation).  Returns the number of decisions re-driven.
   std::size_t redrive_open_decisions();
 
+  /// Start a termination round for every prepare the log replay left
+  /// pending (Cluster::recover_task calls this once the recovery sync is
+  /// done).  A restart loses the protections and vote metadata with the
+  /// store, so nothing else would ever resolve a prepare whose confirm
+  /// arrived while this node was down.
+  void terminate_replayed_prepares();
+
   /// Attach a trace recorder; replica-side read/vote instants are tagged
   /// with the requester's span context from the message envelope (nullptr =
   /// tracing off).
@@ -181,17 +191,29 @@ class QrServer {
     /// epoch: it restarted, and its empty decision log proves no confirm
     /// ever left it (decisions are logged before the first confirm).
     bool coord_no_decision_newer = false;
+    /// The prepare predates a restart (terminate_replayed_prepares).  A
+    /// retried root reuses its id, so the verdict may be a later attempt's:
+    /// it only settles the log entry, with no apply and no re-send.
+    bool replayed = false;
   };
 
   ReadResponse handle_read(const ReadRequest& req);
-  VoteResponse handle_commit_request(const CommitRequest& req);
-  void handle_commit_confirm(const CommitConfirm& confirm);
 
-  /// QR-Q batch 2PC: validate every read base and write base like the
-  /// per-transaction vote, but report the ids that failed so the
-  /// coordinator can re-fetch only the stale queues.
-  BatchVoteResponse handle_batch_commit_request(const BatchCommitRequest& req);
-  void handle_batch_commit_confirm(const BatchCommitConfirm& confirm);
+  /// The 2PC vote, written once for both wire families (kCommitRequest and
+  /// kBatchCommitRequest; a CommitWriteEntry counts as steps = 1): validate
+  /// every read version and write base, report the ids that failed, and on
+  /// a commit vote protect and durably prepare the write-set.
+  template <class WriteEntry>
+  BatchVoteResponse vote(TxnId txn, const std::vector<CommitReadEntry>& reads,
+                         const std::vector<WriteEntry>& updates);
+  /// The one-way 2PC confirm for both families: log the outcome, then apply
+  /// base+steps (commit) or just unprotect (abort).
+  template <class WriteEntry>
+  void confirm(TxnId txn, bool commit, const std::vector<WriteEntry>& updates);
+
+  /// Termination metadata for a prepare of `txn`: its coordinator and that
+  /// node's liveness epoch as of now.
+  PreparedMeta prepared_meta(TxnId txn) const;
 
   /// Rqv (Alg. 1 + Alg. 4): returns an abort-carrying response when any
   /// data-set entry is invalid on this replica, nullopt when valid.
@@ -211,7 +233,8 @@ class QrServer {
 
   /// Begin cooperative termination for an in-doubt prepared transaction
   /// (no-op when one is already running or metadata is missing).
-  void start_termination(TxnId txn);
+  /// `replayed` marks a prepare left over from before a restart.
+  void start_termination(TxnId txn, bool replayed = false);
   /// The driving coroutine: bounded rounds of query -> wait -> evaluate.
   sim::Task<void> termination_task(TxnId txn);
   /// Answer a peer's status query from the applied-set, the decision log,
@@ -224,6 +247,9 @@ class QrServer {
   /// Apply the resolved outcome locally (WAL first), then retransmit the
   /// confirm to the write-quorum peers (at-least-once; they dedupe).
   void resolve_indoubt(TxnId txn, bool commit);
+  /// Re-send an encoded confirm to `to` (at-least-once; receivers dedupe).
+  void send_confirm(const std::vector<net::NodeId>& to, net::MsgKind kind,
+                    const Bytes& payload);
 
   SyncPullResponse handle_sync_pull(net::NodeId from,
                                     const Bytes& payload) const;

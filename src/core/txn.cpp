@@ -553,12 +553,13 @@ TxnRuntime::TxnRuntime(net::RpcEndpoint& rpc, quorum::QuorumProvider& quorums,
 
 TxnRuntime::~TxnRuntime() = default;
 
-const std::vector<net::NodeId>& TxnRuntime::cohort_read_quorum(
-    std::uint32_t cohort) {
-  if (rq_cache_.size() < quorums_.num_cohorts()) {
-    rq_cache_.resize(quorums_.num_cohorts());
+const std::vector<net::NodeId>& TxnRuntime::cohort_quorum(
+    std::uint32_t cohort, bool write) {
+  std::vector<CohortQuorum>& cache = write ? wq_cache_ : rq_cache_;
+  if (cache.size() < quorums_.num_cohorts()) {
+    cache.resize(quorums_.num_cohorts());
   }
-  CohortQuorum& q = rq_cache_[cohort];
+  CohortQuorum& q = cache[cohort];
   const std::uint64_t g = quorums_.generation();
   if (q.gen != g) {
     // A zombie coroutine (the requester was killed mid-transaction, so the
@@ -567,30 +568,8 @@ const std::vector<net::NodeId>& TxnRuntime::cohort_read_quorum(
     // cross-epoch send would drop anyway.  A *live* requester keeps the
     // original contract and sees QuorumUnavailable directly.
     try {
-      q.nodes = quorums_.cohort_read_quorum(node(), cohort);
-    } catch (const quorum::QuorumUnavailable& e) {
-      if (!rpc_.network().alive(node())) {
-        throw AbortException{AbortTarget::kRoot, 0, 0, e.what()};
-      }
-      throw;
-    }
-    q.gen = g;
-  }
-  return q.nodes;
-}
-
-const std::vector<net::NodeId>& TxnRuntime::cohort_write_quorum(
-    std::uint32_t cohort) {
-  if (wq_cache_.size() < quorums_.num_cohorts()) {
-    wq_cache_.resize(quorums_.num_cohorts());
-  }
-  CohortQuorum& q = wq_cache_[cohort];
-  const std::uint64_t g = quorums_.generation();
-  if (q.gen != g) {
-    // Same zombie-only infrastructure-abort conversion as
-    // cohort_read_quorum.
-    try {
-      q.nodes = quorums_.cohort_write_quorum(node(), cohort);
+      q.nodes = write ? quorums_.cohort_write_quorum(node(), cohort)
+                      : quorums_.cohort_read_quorum(node(), cohort);
     } catch (const quorum::QuorumUnavailable& e) {
       if (!rpc_.network().alive(node())) {
         throw AbortException{AbortTarget::kRoot, 0, 0, e.what()};
@@ -603,7 +582,7 @@ const std::vector<net::NodeId>& TxnRuntime::cohort_write_quorum(
 }
 
 const std::vector<net::NodeId>& TxnRuntime::read_quorum(ObjectId id) {
-  return cohort_read_quorum(quorums_.cohort_of(id));
+  return cohort_quorum(quorums_.cohort_of(id), /*write=*/false);
 }
 
 std::vector<net::NodeId> TxnRuntime::union_write_quorum(
@@ -611,7 +590,7 @@ std::vector<net::NodeId> TxnRuntime::union_write_quorum(
   const std::uint32_t n = quorums_.num_cohorts();
   // Single cohort: the exact pre-shard behaviour (a copy of the one write
   // quorum), no per-id hashing.
-  if (n <= 1) return cohort_write_quorum(0);
+  if (n <= 1) return cohort_quorum(0, /*write=*/true);
   std::vector<bool> seen(n, false);
   std::uint32_t distinct = 0;
   std::vector<net::NodeId> out;
@@ -620,7 +599,7 @@ std::vector<net::NodeId> TxnRuntime::union_write_quorum(
     if (seen[c]) continue;
     seen[c] = true;
     ++distinct;
-    const auto& wq = cohort_write_quorum(c);
+    const auto& wq = cohort_quorum(c, /*write=*/true);
     out.insert(out.end(), wq.begin(), wq.end());
   }
   std::sort(out.begin(), out.end());
@@ -685,7 +664,9 @@ sim::Task<bool> TxnRuntime::run_txn_impl(TxnBody body,
         tracer_->span(TraceKind::kTxn, node(), root.scope_id_, txn_start, now,
                       attempt + 1);
       }
-      if (recorder_ != nullptr) record_commit_history(root);
+      if (recorder_ != nullptr) {
+        recorder_->record_commit(history_record(root, now));
+      }
       co_await finish_open(root, /*committed=*/true);
       if (count_commit) ++metrics_.commits;
       co_return true;
@@ -736,11 +717,12 @@ sim::Task<bool> TxnRuntime::run_txn_impl(TxnBody body,
   }
 }
 
-void TxnRuntime::record_commit_history(const Txn& root) {
+CommittedTxn TxnRuntime::history_record(const Txn& root,
+                                        sim::Tick commit_tick) const {
   CommittedTxn rec;
   rec.txn = root.scope_id_;
   rec.node = node();
-  rec.commit_tick = simulator().now();
+  rec.commit_tick = commit_tick;
   rec.reads.reserve(root.readset_.size());
   // Collect-then-sort: the recorded order is by object id regardless of the
   // sets' hash order.  qrdtm-lint: allow(det-unordered-iter)
@@ -750,7 +732,7 @@ void TxnRuntime::record_commit_history(const Txn& root) {
   rec.writes.reserve(root.writeset_.size());
   // Sorted below as well.  qrdtm-lint: allow(det-unordered-iter)
   for (const auto& [id, oc] : root.writeset_) {
-    // QR installs base+1 (see QrServer::handle_commit_confirm).
+    // Each write installs base+1 (a QR-Q member's base is its queue step).
     rec.writes.push_back(
         HistoryWrite{id, oc.copy.version, oc.copy.version + 1, oc.copy.data});
   }
@@ -759,7 +741,7 @@ void TxnRuntime::record_commit_history(const Txn& root) {
   std::sort(
       rec.writes.begin(), rec.writes.end(),
       [](const HistoryWrite& a, const HistoryWrite& b) { return a.id < b.id; });
-  recorder_->record_commit(std::move(rec));
+  return rec;
 }
 
 sim::Task<void> TxnRuntime::acquire_abstract_lock(Txn& root,
@@ -823,8 +805,12 @@ sim::Task<void> TxnRuntime::finish_open(Txn& root, bool committed) {
 }
 
 sim::Task<void> TxnRuntime::commit_root(Txn& root) {
-  // An empty transaction (no reads, no writes) has nothing to validate.
-  if (root.writeset_.empty() && root.readset_.empty()) {
+  // An empty transaction has nothing to validate, and Rqv makes read-only
+  // commits free under QR-CN (paper §III-A); flat QR and QR-CHK run the 2PC
+  // for every other root (QR-CHK commit "exactly the same as flat", §IV-A).
+  if (root.writeset_.empty() &&
+      (root.readset_.empty() || (config_.mode == NestingMode::kClosed &&
+                                 config_.cn_local_readonly_commit))) {
     ++metrics_.local_commits;
     if (tracer_ != nullptr) {
       tracer_->span(TraceKind::kCommit2pc, node(), root.scope_id_,
@@ -832,20 +818,6 @@ sim::Task<void> TxnRuntime::commit_root(Txn& root) {
     }
     co_return;
   }
-  // Rqv makes read-only commits free under QR-CN (paper §III-A); flat QR
-  // and QR-CHK always run the 2PC (QR-CHK commit "exactly the same as flat",
-  // §IV-A).
-  if (root.writeset_.empty() && config_.mode == NestingMode::kClosed &&
-      config_.cn_local_readonly_commit) {
-    ++metrics_.local_commits;
-    if (tracer_ != nullptr) {
-      tracer_->span(TraceKind::kCommit2pc, node(), root.scope_id_,
-                    simulator().now(), simulator().now(), 0, /*local=*/1);
-    }
-    co_return;
-  }
-  const sim::Tick commit_start = simulator().now();
-
   CommitRequest req;
   req.txn = root.scope_id_;
   req.readset.reserve(root.readset_.size());
@@ -870,39 +842,60 @@ sim::Task<void> TxnRuntime::commit_root(Txn& root) {
             [](const CommitWriteEntry& a, const CommitWriteEntry& b) {
               return a.id < b.id;
             });
+  if (!(co_await two_phase_commit(std::move(req))).commit) {
+    ++metrics_.vote_aborts;
+    throw AbortException{AbortTarget::kRoot, root.scope_id_, 0,
+                         "commit vote failed"};
+  }
+}
+
+template <class Request>
+sim::Task<RoundVotes> TxnRuntime::two_phase_commit(Request req) {
+  using Wire = TwoPhaseWire<Request>;
+  const TxnId id = Wire::id(req);
+  const sim::Tick commit_start = simulator().now();
 
   // Copy of the memoised quorum: a failure mid-commit may regenerate the
   // cache while we await votes, and the confirm must reach the same members
   // the request went to.  The multicast spans the write quorums of every
-  // cohort the transaction touched -- the read-set cohorts included, since
-  // read validation only happens on nodes replicating those objects.
+  // cohort the round touched -- the read-set cohorts included, since read
+  // validation only happens on nodes replicating those objects.
   std::vector<ObjectId> touched;
   touched.reserve(req.readset.size() + req.writeset.size());
   for (const CommitReadEntry& e : req.readset) touched.push_back(e.id);
-  for (const CommitWriteEntry& e : req.writeset) touched.push_back(e.id);
+  for (const auto& e : req.writeset) touched.push_back(e.id);
   const std::vector<net::NodeId> wq = union_write_quorum(touched);
   ++metrics_.commit_requests;
   metrics_.commit_messages += wq.size();
-  Writer reqw(rpc_.acquire_buffer(msg::kCommitRequest));
+  Writer reqw(rpc_.acquire_buffer(Wire::kRequest));
   req.encode_into(reqw);
   Bytes reqbytes = std::move(reqw).take();
-  if (tracer_ != nullptr) rpc_.set_trace_context(root.scope_id_);
+  if (tracer_ != nullptr) rpc_.set_trace_context(id);
   auto futures =
-      rpc_.multicast(wq, msg::kCommitRequest, reqbytes, config_.rpc_timeout);
+      rpc_.multicast(wq, Wire::kRequest, reqbytes, config_.rpc_timeout);
   if (tracer_ != nullptr) rpc_.set_trace_context(0);
   rpc_.release_buffer(std::move(reqbytes));
 
-  bool all_commit = true;
+  RoundVotes votes{.commit = true, .stale = {}};
   for (auto& f : futures) {
     net::RpcResult res = co_await f;
     report_rpc_outcome(res.from, res.ok);
     if (!res.ok) {
-      all_commit = false;  // dead or unreachable member counts as abort
+      votes.commit = false;  // dead or unreachable member counts as abort
       continue;
     }
-    if (!VoteResponse::decode(res.payload).commit) all_commit = false;
+    const auto vote = Wire::Vote::decode(res.payload);
     rpc_.release_buffer(std::move(res.payload));
+    if (vote.commit) continue;
+    votes.commit = false;
+    if constexpr (requires { vote.stale; }) {
+      votes.stale.insert(votes.stale.end(), vote.stale.begin(),
+                         vote.stale.end());
+    }
   }
+  std::sort(votes.stale.begin(), votes.stale.end());
+  votes.stale.erase(std::unique(votes.stale.begin(), votes.stale.end()),
+                    votes.stale.end());
 
   // The canonical checkpoint/recovery race window: votes are gathered (the
   // write quorum has protected + durably prepared the write-set) but the
@@ -913,90 +906,88 @@ sim::Task<void> TxnRuntime::commit_root(Txn& root) {
     co_await faults_->suspend(fp::kCommitBeforeConfirm, node());
   }
 
-  // The confirm goes out either way: voters that protected the write-set
-  // must release it on abort.
-  CommitConfirm confirm;
-  confirm.txn = req.txn;
-  confirm.commit = all_commit;
-  confirm.writeset = std::move(req.writeset);
-  Writer cw(rpc_.acquire_buffer(msg::kCommitConfirm));
-  confirm.encode_into(cw);
-  Bytes encoded = std::move(cw).take();
+  // The confirm goes out either way when the round writes: voters that
+  // protected the write-set must release it on abort.  A read-only round
+  // protected nothing; the per-transaction modes still confirm it (the
+  // paper's 2PC), QR-Q does not.
+  const std::uint64_t nwrites = req.writeset.size();
+  if (nwrites > 0 || config_.mode != NestingMode::kQueued) {
+    typename Wire::Confirm confirm{id, votes.commit, std::move(req.writeset)};
+    Writer cw(rpc_.acquire_buffer(Wire::kConfirm));
+    confirm.encode_into(cw);
+    Bytes encoded = std::move(cw).take();
 
-  // Durable decision record (DESIGN.md §17): the outcome -- commit AND
-  // abort, so termination rounds get authoritative abort answers too -- is
-  // on the local WAL BEFORE any confirm leaves this node.  A coordinator
-  // restart therefore proves: no decision in the log => no confirm was ever
-  // sent => in-doubt replicas may presumed-abort safely.  Read-only rounds
-  // (empty writeset) take no protections and log nothing.
-  const bool log_decision = local_log_ != nullptr && !confirm.writeset.empty();
-  if (log_decision) {
-    const FaultAction at_decision =
-        faults_ != nullptr ? faults_->fire(fp::kDecisionBeforeLog, node())
-                           : FaultAction::kNone;
-    if (at_decision == FaultAction::kPanic) {
-      // Crashed before the decision was durable: no confirm leaves, the
-      // attempt must not be recorded as a commit (the prepared replicas
-      // will presumed-abort it once the restarted coordinator answers).
-      rpc_.release_buffer(std::move(encoded));
-      throw AbortException{AbortTarget::kRoot, root.scope_id_, 0,
-                           "coordinator crashed before decision log"};
+    // Durable decision record (DESIGN.md §17): the outcome -- commit AND
+    // abort, so termination rounds get authoritative abort answers too --
+    // is on the local WAL BEFORE any confirm leaves this node.  A
+    // coordinator restart therefore proves: no decision in the log => no
+    // confirm was ever sent => in-doubt replicas may presumed-abort safely.
+    // Read-only rounds take no protections and log nothing.
+    const bool log_decision = local_log_ != nullptr && nwrites > 0;
+    if (log_decision) {
+      const FaultAction at_decision =
+          faults_ != nullptr ? faults_->fire(fp::kDecisionBeforeLog, node())
+                             : FaultAction::kNone;
+      if (at_decision == FaultAction::kPanic) {
+        // Crashed before the decision was durable: no confirm leaves, the
+        // round must not count as a commit (the prepared replicas will
+        // presumed-abort it once the restarted coordinator answers).
+        rpc_.release_buffer(std::move(encoded));
+        throw AbortException{AbortTarget::kRoot, id, 0,
+                             "coordinator crashed before decision log"};
+      }
+      if (at_decision != FaultAction::kSkip) {
+        // kSkip = the --break-termination canary: confirms go out with no
+        // durable decision, so a restart presumed-aborts an acked commit.
+        store::Decision d;
+        d.epoch = rpc_.network().epoch(node());
+        d.commit = votes.commit;
+        d.confirm_kind = Wire::kConfirm;
+        d.members.assign(wq.begin(), wq.end());
+        d.payload = encoded;
+        local_log_->append_decision(id, std::move(d));
+      }
     }
-    if (at_decision != FaultAction::kSkip) {
-      // kSkip = the --break-termination canary: confirms go out with no
-      // durable decision, so a restart presumed-aborts an acked commit.
-      store::Decision d;
-      d.epoch = rpc_.network().epoch(node());
-      d.commit = all_commit;
-      d.confirm_kind = msg::kCommitConfirm;
-      d.members.assign(wq.begin(), wq.end());
-      d.payload = encoded;
-      local_log_->append_decision(req.txn, std::move(d));
-    }
-  }
 
-  metrics_.commit_messages += wq.size();
-  if (tracer_ != nullptr) rpc_.set_trace_context(root.scope_id_);
-  bool died_mid_broadcast = false;
-  for (net::NodeId n : wq) {
-    // Coordinator crash after a strict subset of the confirms left the node
-    // (arm with delay_fires=K to let K members hear the outcome).  The dead
-    // node's remaining sends are cut at the network, so just keep looping.
-    if (faults_ != nullptr &&
-        faults_->fire(fp::kConfirmPartial, node()) == FaultAction::kPanic) {
-      died_mid_broadcast = true;
+    metrics_.commit_messages += wq.size();
+    if (tracer_ != nullptr) rpc_.set_trace_context(id);
+    bool died_mid_broadcast = false;
+    for (net::NodeId n : wq) {
+      // Coordinator crash after a strict subset of the confirms left the
+      // node (arm with delay_fires=K to let K members hear the outcome).
+      // The dead node's remaining sends are cut at the network.
+      if (faults_ != nullptr &&
+          faults_->fire(fp::kConfirmPartial, node()) == FaultAction::kPanic) {
+        died_mid_broadcast = true;
+      }
+      Bytes copy = rpc_.acquire_buffer(Wire::kConfirm);
+      copy.assign(encoded.begin(), encoded.end());
+      rpc_.notify(n, Wire::kConfirm, std::move(copy));
     }
-    Bytes copy = rpc_.acquire_buffer(msg::kCommitConfirm);
-    copy.assign(encoded.begin(), encoded.end());
-    rpc_.notify(n, msg::kCommitConfirm, std::move(copy));
-  }
-  if (tracer_ != nullptr) rpc_.set_trace_context(0);
-  rpc_.release_buffer(std::move(encoded));
-  // The broadcast completed in this incarnation: stop re-driving it.  A
-  // coordinator that died mid-broadcast must NOT settle -- recovery replays
-  // the decision and re-sends (receivers dedupe duplicates).
-  if (log_decision && !died_mid_broadcast) {
-    local_log_->settle_decision(req.txn);
-  }
+    if (tracer_ != nullptr) rpc_.set_trace_context(0);
+    rpc_.release_buffer(std::move(encoded));
+    // The broadcast completed in this incarnation: stop re-driving it.  A
+    // coordinator that died mid-broadcast must NOT settle -- recovery
+    // replays the decision and re-sends (receivers dedupe duplicates).
+    if (log_decision && !died_mid_broadcast) local_log_->settle_decision(id);
 
-  // Charge the one-way confirm propagation (paper: commit-confirm cost is
-  // the distance to the write quorum).  This also keeps the client's next
-  // attempt from racing its own confirms.
-  if (config_.commit_settle > 0) {
-    co_await rpc_.simulator().delay(config_.commit_settle);
+    // Charge the one-way confirm propagation once per round (paper: the
+    // commit-confirm cost is the distance to the write quorum).  This also
+    // keeps the client's next attempt from racing its own confirms.
+    if (config_.commit_settle > 0) {
+      co_await rpc_.simulator().delay(config_.commit_settle);
+    }
   }
 
   if (tracer_ != nullptr) {
-    tracer_->span(TraceKind::kCommit2pc, node(), root.scope_id_, commit_start,
-                  simulator().now(), root.writeset_.size(), /*local=*/0);
+    tracer_->span(TraceKind::kCommit2pc, node(), id, commit_start,
+                  simulator().now(), nwrites, /*local=*/0);
   }
-
-  if (!all_commit) {
-    ++metrics_.vote_aborts;
-    throw AbortException{AbortTarget::kRoot, root.scope_id_, 0,
-                         "commit vote failed"};
-  }
+  co_return votes;
 }
+
+// BatchPlanner::commit_round drives the batch family.
+template sim::Task<RoundVotes> TxnRuntime::two_phase_commit(BatchCommitRequest);
 
 sim::Task<void> TxnRuntime::backoff(std::uint32_t attempt, TxnId txn) {
   const sim::Tick wait = draw_backoff_wait(config_.backoff_base,

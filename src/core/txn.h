@@ -50,6 +50,7 @@ class CommitLog;
 namespace qrdtm::core {
 
 class HistoryRecorder;
+struct CommittedTxn;
 
 struct RuntimeConfig {
   NestingMode mode = NestingMode::kFlat;
@@ -120,6 +121,13 @@ struct RuntimeConfig {
 class BatchPlanner;
 class Txn;
 class TxnRuntime;
+
+/// What the votes of one 2PC round decided.  `stale` is the sorted union of
+/// the ids QR-Q voters reported invalid (empty = no diagnosis).
+struct RoundVotes {
+  bool commit = false;
+  std::vector<ObjectId> stale;
+};
 
 // Constructed once per transaction attempt (not per event/message), so the
 // possible one-time allocation is outside the per-event hot path.
@@ -434,6 +442,17 @@ class TxnRuntime {
   /// locally (no messages) for read-only roots under QR-CN.
   sim::Task<void> commit_root(Txn& root);
 
+  /// The 2PC round behind every commit -- a root transaction
+  /// (CommitRequest) or a whole QR-Q batch (BatchCommitRequest): multicast
+  /// the request to the union write quorum, gather the votes, durably log
+  /// the decision when the round writes, broadcast the confirm and charge
+  /// commit_settle.  A read-only round confirms under the per-transaction
+  /// modes (the paper's 2PC) and skips the confirm under QR-Q, whose vote
+  /// alone validates the read bases.  Throws AbortException (zombie
+  /// coordinator, crash before the decision record) and QuorumUnavailable.
+  template <class Request>
+  sim::Task<RoundVotes> two_phase_commit(Request req);
+
   /// QR-ON: after the root commits, release its abstract locks; after a
   /// root abort, run the registered compensations (reverse order, each as
   /// an independent committed transaction) and then release.
@@ -444,16 +463,17 @@ class TxnRuntime {
 
   sim::Task<void> backoff(std::uint32_t attempt, TxnId txn);
 
-  /// Append the committed root's observable behaviour to the recorder.
-  void record_commit_history(const Txn& root);
+  /// A committed root's observable behaviour for the history recorder:
+  /// reads and writes (base -> base+1), ids ascending.
+  CommittedTxn history_record(const Txn& root, sim::Tick commit_tick) const;
 
   /// Memoised quorums, keyed on (generation, cohort): providers derive
   /// them deterministically from the live set, so recompute only when the
   /// provider's generation() moves (fail-stop / recovery).  The reference
   /// stays valid until the next call for the same cohort; commit paths
   /// that span suspension points take a copy.
-  const std::vector<net::NodeId>& cohort_read_quorum(std::uint32_t cohort);
-  const std::vector<net::NodeId>& cohort_write_quorum(std::uint32_t cohort);
+  const std::vector<net::NodeId>& cohort_quorum(std::uint32_t cohort,
+                                                bool write);
 
   /// The read quorum for `id`'s cohort (single-cohort providers: cohort 0,
   /// the exact pre-shard quorum).

@@ -4,6 +4,14 @@ namespace qrdtm::core {
 
 namespace {
 
+/// The one-shot encode() every message offers on top of encode_into().
+template <class Message>
+Bytes encode_message(const Message& m) {
+  Writer w;
+  m.encode_into(w);
+  return std::move(w).take();
+}
+
 // Exact encoded sizes, used to reserve() writers before encoding so even a
 // cold (unpooled) buffer allocates at most once.
 constexpr std::size_t kEntryBytes = 8 + 8 + 8 + 4 + 8;      // DataSetEntry
@@ -11,19 +19,41 @@ constexpr std::size_t kReadReqHeader = 8 + 1 + 8 + 1 + 4;   // + entries
 constexpr std::size_t kReadRespHeader = 1 + 8 + 4 + 8 + 4 + 8;  // + data
 constexpr std::size_t kReadEntryBytes = 8 + 8;              // CommitReadEntry
 constexpr std::size_t kWriteEntryHeader = 8 + 8 + 4;        // + data
+constexpr std::size_t kBatchWriteHeader = 8 + 8 + 4 + 4;    // + data
 
-std::size_t writeset_bytes(const std::vector<CommitWriteEntry>& ws) {
+/// Encoded size of either write-set flavour, given its per-entry header.
+template <class WriteEntry>
+std::size_t writeset_bytes(const std::vector<WriteEntry>& ws,
+                           std::size_t header) {
   std::size_t n = 4;
-  for (const CommitWriteEntry& e : ws) n += kWriteEntryHeader + e.data.size();
+  for (const WriteEntry& e : ws) n += header + e.data.size();
   return n;
 }
 
-constexpr std::size_t kBatchWriteHeader = 8 + 8 + 4 + 4;  // + data
+void encode_read_entry(Writer& w, const CommitReadEntry& e) {
+  w.u64(e.id);
+  w.u64(e.version);
+}
 
-std::size_t batch_writeset_bytes(const std::vector<BatchWriteEntry>& ws) {
-  std::size_t n = 4;
-  for (const BatchWriteEntry& e : ws) n += kBatchWriteHeader + e.data.size();
-  return n;
+CommitReadEntry decode_read_entry(Reader& r) {
+  CommitReadEntry e;
+  e.id = r.u64();
+  e.version = r.u64();
+  return e;
+}
+
+void encode_write_entry(Writer& w, const CommitWriteEntry& e) {
+  w.u64(e.id);
+  w.u64(e.base);
+  w.blob(e.data);
+}
+
+CommitWriteEntry decode_write_entry(Reader& r) {
+  CommitWriteEntry e;
+  e.id = r.u64();
+  e.base = r.u64();
+  e.data = r.blob();
+  return e;
 }
 
 void encode_batch_write(Writer& w, const BatchWriteEntry& e) {
@@ -38,6 +68,7 @@ BatchWriteEntry decode_batch_write(Reader& r) {
   e.id = r.u64();
   e.base = r.u64();
   e.steps = r.u32();
+  if (e.steps == 0) throw SerdeError("batch write entry with zero steps");
   e.data = r.blob();
   return e;
 }
@@ -77,11 +108,7 @@ void ReadRequest::encode_into(Writer& w) const {
   encode_read_request(w, root, mode, object, for_write, dataset);
 }
 
-Bytes ReadRequest::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
+Bytes ReadRequest::encode() const { return encode_message(*this); }
 
 ReadRequest ReadRequest::decode(const Bytes& b) {
   Reader r(b);
@@ -105,11 +132,7 @@ void ReadResponse::encode_into(Writer& w) const {
   w.u64(abort_chk);
 }
 
-Bytes ReadResponse::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
+Bytes ReadResponse::encode() const { return encode_message(*this); }
 
 ReadResponse ReadResponse::decode(const Bytes& b) {
   Reader r(b);
@@ -126,53 +149,27 @@ ReadResponse ReadResponse::decode(const Bytes& b) {
 
 void CommitRequest::encode_into(Writer& w) const {
   w.reserve(w.size() + 8 + 4 + readset.size() * kReadEntryBytes +
-            writeset_bytes(writeset));
+            writeset_bytes(writeset, kWriteEntryHeader));
   w.u64(txn);
-  encode_vec(w, readset, [](Writer& w2, const CommitReadEntry& e) {
-    w2.u64(e.id);
-    w2.u64(e.version);
-  });
-  encode_vec(w, writeset, [](Writer& w2, const CommitWriteEntry& e) {
-    w2.u64(e.id);
-    w2.u64(e.base);
-    w2.blob(e.data);
-  });
+  encode_vec(w, readset, encode_read_entry);
+  encode_vec(w, writeset, encode_write_entry);
 }
 
-Bytes CommitRequest::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
+Bytes CommitRequest::encode() const { return encode_message(*this); }
 
 CommitRequest CommitRequest::decode(const Bytes& b) {
   Reader r(b);
   CommitRequest req;
   req.txn = r.u64();
-  req.readset = decode_vec<CommitReadEntry>(r, [](Reader& r2) {
-    CommitReadEntry e;
-    e.id = r2.u64();
-    e.version = r2.u64();
-    return e;
-  });
-  req.writeset = decode_vec<CommitWriteEntry>(r, [](Reader& r2) {
-    CommitWriteEntry e;
-    e.id = r2.u64();
-    e.base = r2.u64();
-    e.data = r2.blob();
-    return e;
-  });
+  req.readset = decode_vec<CommitReadEntry>(r, decode_read_entry);
+  req.writeset = decode_vec<CommitWriteEntry>(r, decode_write_entry);
   r.expect_done();
   return req;
 }
 
 void VoteResponse::encode_into(Writer& w) const { w.boolean(commit); }
 
-Bytes VoteResponse::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
+Bytes VoteResponse::encode() const { return encode_message(*this); }
 
 VoteResponse VoteResponse::decode(const Bytes& b) {
   Reader r(b);
@@ -190,11 +187,7 @@ void SyncPullRequest::encode_into(Writer& w) const {
   });
 }
 
-Bytes SyncPullRequest::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
+Bytes SyncPullRequest::encode() const { return encode_message(*this); }
 
 SyncPullRequest SyncPullRequest::decode(const Bytes& b) {
   Reader r(b);
@@ -222,11 +215,7 @@ void SyncPullResponse::encode_into(Writer& w) const {
   });
 }
 
-Bytes SyncPullResponse::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
+Bytes SyncPullResponse::encode() const { return encode_message(*this); }
 
 SyncPullResponse SyncPullResponse::decode(const Bytes& b) {
   Reader r(b);
@@ -246,31 +235,19 @@ SyncPullResponse SyncPullResponse::decode(const Bytes& b) {
 
 void BatchCommitRequest::encode_into(Writer& w) const {
   w.reserve(w.size() + 8 + 4 + readset.size() * kReadEntryBytes +
-            batch_writeset_bytes(writeset));
+            writeset_bytes(writeset, kBatchWriteHeader));
   w.u64(batch);
-  encode_vec(w, readset, [](Writer& w2, const CommitReadEntry& e) {
-    w2.u64(e.id);
-    w2.u64(e.version);
-  });
+  encode_vec(w, readset, encode_read_entry);
   encode_vec(w, writeset, encode_batch_write);
 }
 
-Bytes BatchCommitRequest::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
+Bytes BatchCommitRequest::encode() const { return encode_message(*this); }
 
 BatchCommitRequest BatchCommitRequest::decode(const Bytes& b) {
   Reader r(b);
   BatchCommitRequest req;
   req.batch = r.u64();
-  req.readset = decode_vec<CommitReadEntry>(r, [](Reader& r2) {
-    CommitReadEntry e;
-    e.id = r2.u64();
-    e.version = r2.u64();
-    return e;
-  });
+  req.readset = decode_vec<CommitReadEntry>(r, decode_read_entry);
   req.writeset = decode_vec<BatchWriteEntry>(r, decode_batch_write);
   r.expect_done();
   return req;
@@ -282,11 +259,7 @@ void BatchVoteResponse::encode_into(Writer& w) const {
   encode_vec(w, stale, [](Writer& w2, ObjectId id) { w2.u64(id); });
 }
 
-Bytes BatchVoteResponse::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
+Bytes BatchVoteResponse::encode() const { return encode_message(*this); }
 
 BatchVoteResponse BatchVoteResponse::decode(const Bytes& b) {
   Reader r(b);
@@ -298,17 +271,13 @@ BatchVoteResponse BatchVoteResponse::decode(const Bytes& b) {
 }
 
 void BatchCommitConfirm::encode_into(Writer& w) const {
-  w.reserve(w.size() + 8 + 1 + batch_writeset_bytes(writeset));
+  w.reserve(w.size() + 8 + 1 + writeset_bytes(writeset, kBatchWriteHeader));
   w.u64(batch);
   w.boolean(commit);
   encode_vec(w, writeset, encode_batch_write);
 }
 
-Bytes BatchCommitConfirm::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
+Bytes BatchCommitConfirm::encode() const { return encode_message(*this); }
 
 BatchCommitConfirm BatchCommitConfirm::decode(const Bytes& b) {
   Reader r(b);
@@ -325,11 +294,7 @@ void TxnStatusRequest::encode_into(Writer& w) const {
   w.u64(txn);
 }
 
-Bytes TxnStatusRequest::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
+Bytes TxnStatusRequest::encode() const { return encode_message(*this); }
 
 TxnStatusRequest TxnStatusRequest::decode(const Bytes& b) {
   Reader r(b);
@@ -346,51 +311,37 @@ void TxnStatusResponse::encode_into(Writer& w) const {
   w.u32(epoch);
 }
 
-Bytes TxnStatusResponse::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
+Bytes TxnStatusResponse::encode() const { return encode_message(*this); }
 
 TxnStatusResponse TxnStatusResponse::decode(const Bytes& b) {
   Reader r(b);
   TxnStatusResponse resp;
   resp.txn = r.u64();
-  resp.status = static_cast<TxnStatus>(r.u8());
+  const std::uint8_t status = r.u8();
+  if (status > static_cast<std::uint8_t>(TxnStatus::kPrepared)) {
+    throw SerdeError("unknown TxnStatus");
+  }
+  resp.status = static_cast<TxnStatus>(status);
   resp.epoch = r.u32();
   r.expect_done();
   return resp;
 }
 
 void CommitConfirm::encode_into(Writer& w) const {
-  w.reserve(w.size() + 8 + 1 + writeset_bytes(writeset));
+  w.reserve(w.size() + 8 + 1 + writeset_bytes(writeset, kWriteEntryHeader));
   w.u64(txn);
   w.boolean(commit);
-  encode_vec(w, writeset, [](Writer& w2, const CommitWriteEntry& e) {
-    w2.u64(e.id);
-    w2.u64(e.base);
-    w2.blob(e.data);
-  });
+  encode_vec(w, writeset, encode_write_entry);
 }
 
-Bytes CommitConfirm::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
+Bytes CommitConfirm::encode() const { return encode_message(*this); }
 
 CommitConfirm CommitConfirm::decode(const Bytes& b) {
   Reader r(b);
   CommitConfirm c;
   c.txn = r.u64();
   c.commit = r.boolean();
-  c.writeset = decode_vec<CommitWriteEntry>(r, [](Reader& r2) {
-    CommitWriteEntry e;
-    e.id = r2.u64();
-    e.base = r2.u64();
-    e.data = r2.blob();
-    return e;
-  });
+  c.writeset = decode_vec<CommitWriteEntry>(r, decode_write_entry);
   r.expect_done();
   return c;
 }

@@ -169,7 +169,7 @@ struct SyncPullResponse {
 struct BatchWriteEntry {
   ObjectId id = 0;
   Version base = 0;
-  std::uint32_t steps = 0;  // speculative writes absorbed (>= 1)
+  std::uint32_t steps = 0;  // writes absorbed (>= 1; 0 fails to decode)
   Bytes data;               // value after the last write in queue order
 };
 
@@ -213,7 +213,8 @@ struct BatchCommitConfirm {
 };
 
 /// What a peer knows about a transaction's 2PC outcome, in answer to a
-/// TxnStatusRequest during cooperative termination (DESIGN.md §17).
+/// TxnStatusRequest during cooperative termination (DESIGN.md §17).  Any
+/// other byte on the wire is rejected at decode.
 enum class TxnStatus : std::uint8_t {
   kUnknown = 0,    // no decision record, no prepare: never heard of it (or
                    // already settled and garbage-collected)
@@ -258,6 +259,38 @@ struct CommitConfirm {
   Bytes encode() const;
   void encode_into(Writer& w) const;
   static CommitConfirm decode(const Bytes& b);
+};
+
+/// The committed-version step of one write entry: a per-transaction write
+/// is the degenerate QR-Q queue of one.
+inline std::uint32_t steps_of(const CommitWriteEntry&) { return 1; }
+inline std::uint32_t steps_of(const BatchWriteEntry& e) { return e.steps; }
+
+/// The two 2PC wire families -- per transaction (Commit*) and per QR-Q
+/// batch (BatchCommit*) -- run through one server vote/confirm pair
+/// (qr_server.cpp) and one client round (TxnRuntime::two_phase_commit).
+/// TwoPhaseWire<Request> names the rest of a family for that shared code.
+/// Both families stay on the wire until one merged trio replaces them:
+/// perfbench encodes each by name (DESIGN.md §17).
+template <class Request>
+struct TwoPhaseWire;
+
+template <>
+struct TwoPhaseWire<CommitRequest> {
+  using Vote = VoteResponse;
+  using Confirm = CommitConfirm;
+  static constexpr net::MsgKind kRequest = msg::kCommitRequest;
+  static constexpr net::MsgKind kConfirm = msg::kCommitConfirm;
+  static TxnId id(const CommitRequest& r) { return r.txn; }
+};
+
+template <>
+struct TwoPhaseWire<BatchCommitRequest> {
+  using Vote = BatchVoteResponse;
+  using Confirm = BatchCommitConfirm;
+  static constexpr net::MsgKind kRequest = msg::kBatchCommitRequest;
+  static constexpr net::MsgKind kConfirm = msg::kBatchCommitConfirm;
+  static TxnId id(const BatchCommitRequest& r) { return r.batch; }
 };
 
 }  // namespace qrdtm::core

@@ -131,6 +131,15 @@ const std::vector<LoggedWrite>* CommitLog::find_pending(TxnId txn) const {
   return it == pending_.end() ? nullptr : &it->second.writes;
 }
 
+std::vector<TxnId> CommitLog::pending_txns() const {
+  std::vector<TxnId> txns;
+  txns.reserve(pending_.size());
+  // Collect-then-sort below.  qrdtm-lint: allow(det-unordered-iter)
+  for (const auto& [txn, p] : pending_) txns.push_back(txn);
+  std::sort(txns.begin(), txns.end());
+  return txns;
+}
+
 void CommitLog::cut(const ReplicaStore& store, std::uint32_t epoch,
                     bool carry_in_flight) {
   // Snapshot the committed image, ids ascending (the store map is
@@ -160,11 +169,7 @@ void CommitLog::cut(const ReplicaStore& store, std::uint32_t epoch,
   // silently loses the write (the Greengage bug the chk.cut.carry fault
   // point re-creates).
   if (carry_in_flight) {
-    std::vector<TxnId> txns;
-    txns.reserve(pending_.size());
-    // Collect-then-sort below.  qrdtm-lint: allow(det-unordered-iter)
-    for (const auto& [txn, p] : pending_) txns.push_back(txn);
-    std::sort(txns.begin(), txns.end());
+    const std::vector<TxnId> txns = pending_txns();
     w.u32(static_cast<std::uint32_t>(txns.size()));
     for (TxnId txn : txns) {
       const Pending& p = pending_.at(txn);

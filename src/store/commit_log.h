@@ -127,6 +127,9 @@ class CommitLog {
   /// A replica resolving an in-doubt transaction to commit applies these.
   const std::vector<LoggedWrite>* find_pending(TxnId txn) const;
 
+  /// The transactions with an in-flight prepare, ascending.
+  std::vector<TxnId> pending_txns() const;
+
   /// Checkpoint cut: replace the image with a snapshot of `store`, carry
   /// the in-flight prepares forward (unless `carry_in_flight` is false --
   /// the Greengage bug), and discard the record tail.

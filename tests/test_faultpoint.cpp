@@ -184,6 +184,31 @@ TEST(FaultPointCluster, CommitParksInTheVoteConfirmWindow) {
   EXPECT_EQ(c.server(1).store().version_of(obj), 2u);
 }
 
+// A QR-Q batch commits through the same 2PC round, so it parks in the same
+// window: a flat commit is a batch of one.
+TEST(FaultPointCluster, QueuedBatchParksInTheVoteConfirmWindow) {
+  ClusterConfig cfg;
+  cfg.num_nodes = 7;
+  cfg.quorum = QuorumKind::kMajority;
+  cfg.seed = 32;
+  cfg.runtime.mode = NestingMode::kQueued;
+  Cluster c(cfg);
+  const ObjectId obj = c.seed_new_object(Bytes{1});
+
+  c.fault_points().arm(fp::kCommitBeforeConfirm, FaultAction::kSuspend,
+                       /*node=*/0);
+  bool committed = false;
+  c.simulator().spawn(run_bounded(&c, 0, bump_body(obj), &committed));
+  c.run_to_completion();
+  EXPECT_FALSE(committed);
+  ASSERT_EQ(c.fault_points().suspended(fp::kCommitBeforeConfirm), 1u);
+
+  c.fault_points().resume(fp::kCommitBeforeConfirm);
+  c.run_to_completion();
+  EXPECT_TRUE(committed);
+  EXPECT_EQ(c.server(1).store().version_of(obj), 2u);
+}
+
 struct TornOutcome {
   bool committed = false;
   bool history_ok = false;

@@ -3,6 +3,10 @@
 // crafted wire messages through a minimal two-endpoint network.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/qr_server.h"
 #include "net/latency.h"
 #include "sim/task.h"
@@ -269,6 +273,136 @@ TEST(QrServer, ConfirmCreatesFreshObjects) {
   c.writeset.push_back(CommitWriteEntry{77, 0, Bytes{0x07}});
   rig.confirm(c);
   EXPECT_EQ(rig.store().version_of(77), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The vote/confirm pair is one routine behind both 2PC wire families: the
+// per-transaction kinds (every write is one step) and the QR-Q batch kinds
+// (a write absorbs `steps` queued writes).  Each case runs through both.
+
+struct TwoPhaseKind {
+  const char* name;
+  bool batch;
+  std::uint32_t steps;  // per write: always 1 on the per-transaction kinds
+};
+
+class QrServerTwoPhase : public ::testing::TestWithParam<TwoPhaseKind> {
+ protected:
+  bool vote(TxnId txn, std::vector<CommitReadEntry> reads,
+            const std::vector<CommitWriteEntry>& writes) {
+    if (!GetParam().batch) {
+      return rig.vote(CommitRequest{txn, std::move(reads), writes}).commit;
+    }
+    const BatchCommitRequest req{txn, std::move(reads), batch(writes)};
+    return BatchVoteResponse::decode(
+               rig.call(msg::kBatchCommitRequest, req.encode()))
+        .commit;
+  }
+
+  void confirm(TxnId txn, bool commit,
+               const std::vector<CommitWriteEntry>& writes) {
+    if (!GetParam().batch) {
+      rig.confirm(CommitConfirm{txn, commit, writes});
+      return;
+    }
+    const BatchCommitConfirm c{txn, commit, batch(writes)};
+    rig.client_ep->notify(rig.server_ep->id(), msg::kBatchCommitConfirm,
+                          c.encode());
+    rig.sim.run();
+  }
+
+  std::vector<BatchWriteEntry> batch(
+      const std::vector<CommitWriteEntry>& writes) const {
+    std::vector<BatchWriteEntry> out;
+    for (const CommitWriteEntry& w : writes) {
+      out.push_back(BatchWriteEntry{w.id, w.base, GetParam().steps, w.data});
+    }
+    return out;
+  }
+
+  Rig rig;
+};
+
+TEST_P(QrServerTwoPhase, VoteCommitsAndProtectsWriteSet) {
+  rig.store().seed(1, Bytes{}, 5);
+  EXPECT_TRUE(vote(100, {}, {CommitWriteEntry{1, 5, Bytes{0x02}}}));
+  EXPECT_TRUE(rig.store().protected_against(1, 12345));
+}
+
+TEST_P(QrServerTwoPhase, VoteRejectsStaleReadSetWithoutProtecting) {
+  rig.store().seed(1, Bytes{}, 5);
+  rig.store().seed(2, Bytes{}, 1);
+  EXPECT_FALSE(vote(100, {CommitReadEntry{1, 4}},
+                    {CommitWriteEntry{2, 1, Bytes{0x02}}}));
+  EXPECT_FALSE(rig.store().protected_against(2, 12345))
+      << "abort vote must not protect anything";
+}
+
+TEST_P(QrServerTwoPhase, VoteRejectsStaleWriteBase) {
+  rig.store().seed(1, Bytes{}, 5);
+  EXPECT_FALSE(vote(100, {}, {CommitWriteEntry{1, 4, Bytes{}}}));
+}
+
+TEST_P(QrServerTwoPhase, VoteRejectsCompetingProtection) {
+  rig.store().seed(1, Bytes{}, 5);
+  rig.store().protect(1, 999, /*now=*/1);
+  EXPECT_FALSE(vote(100, {}, {CommitWriteEntry{1, 5, Bytes{}}}));
+}
+
+TEST_P(QrServerTwoPhase, ConfirmAppliesBasePlusStepsAndUnprotects) {
+  rig.store().seed(1, Bytes{}, 5);
+  const std::vector<CommitWriteEntry> writes{{1, 5, Bytes{0x09}}};
+  ASSERT_TRUE(vote(100, {}, writes));
+  confirm(100, true, writes);
+  EXPECT_EQ(rig.store().version_of(1), 5u + GetParam().steps);
+  EXPECT_EQ(rig.store().find(1)->data, Bytes{0x09});
+  EXPECT_FALSE(rig.store().protected_against(1, 12345));
+}
+
+TEST_P(QrServerTwoPhase, AbortConfirmOnlyUnprotects) {
+  rig.store().seed(1, Bytes{0x01}, 5);
+  const std::vector<CommitWriteEntry> writes{{1, 5, Bytes{0x09}}};
+  ASSERT_TRUE(vote(100, {}, writes));
+  confirm(100, false, writes);
+  EXPECT_EQ(rig.store().version_of(1), 5u);
+  EXPECT_EQ(rig.store().find(1)->data, Bytes{0x01});
+  EXPECT_FALSE(rig.store().protected_against(1, 12345));
+}
+
+TEST_P(QrServerTwoPhase, StaleConfirmDoesNotRegressVersion) {
+  rig.store().seed(1, Bytes{}, 9);
+  confirm(55, true, {CommitWriteEntry{1, 3, Bytes{0x01}}});
+  EXPECT_EQ(rig.store().version_of(1), 9u) << "apply only fast-forwards";
+}
+
+TEST_P(QrServerTwoPhase, ConfirmCreatesFreshObjects) {
+  confirm(100, true, {CommitWriteEntry{77, 0, Bytes{0x07}}});
+  EXPECT_EQ(rig.store().version_of(77), GetParam().steps);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothKinds, QrServerTwoPhase,
+    ::testing::Values(TwoPhaseKind{"PerTxn", false, 1},
+                      TwoPhaseKind{"Batch", true, 3}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+// The vote scans every entry: an abort names all the stale ids, so QR-Q
+// re-fetches exactly those queues.
+TEST(QrServer, BatchAbortVoteNamesEveryStaleEntry) {
+  Rig rig;
+  rig.store().seed(1, Bytes{}, 5);
+  rig.store().seed(2, Bytes{}, 5);
+  rig.store().seed(3, Bytes{}, 5);
+  rig.store().protect(3, 999, /*now=*/1);
+  BatchCommitRequest req;
+  req.batch = 100;
+  req.readset.push_back(CommitReadEntry{1, 4});
+  req.writeset.push_back(BatchWriteEntry{2, 5, 1, Bytes{}});
+  req.writeset.push_back(BatchWriteEntry{3, 5, 2, Bytes{}});
+  const BatchVoteResponse vote = BatchVoteResponse::decode(
+      rig.call(msg::kBatchCommitRequest, req.encode()));
+  EXPECT_FALSE(vote.commit);
+  EXPECT_EQ(vote.stale, (std::vector<ObjectId>{1, 3}));
 }
 
 }  // namespace

@@ -264,5 +264,55 @@ TEST(Termination, RedrivenConfirmIsDedupedNotReapplied) {
   EXPECT_EQ(seen, 2) << "dedupe must not double-apply the increment";
 }
 
+// ---------------------------------------------------------------------------
+// Satellite regression: a voter that restarts across the confirm replays its
+// prepare as pending, and the confirm it missed was addressed to its old
+// incarnation.  Once the recovery sync is done a termination round must
+// settle that prepare -- for a flat commit and a QR-Q batch alike -- or the
+// node carries it in its commit log forever.
+
+void expect_restarted_voter_settles(NestingMode mode) {
+  ClusterConfig cfg;
+  cfg.num_nodes = 7;
+  cfg.quorum = QuorumKind::kMajority;
+  cfg.seed = 32;
+  cfg.runtime.mode = mode;
+  Cluster c(cfg);
+  const ObjectId obj = c.seed_new_object(Bytes{1});
+
+  c.fault_points().arm(fp::kCommitBeforeConfirm, FaultAction::kSuspend, 0);
+  bool committed = false;
+  c.simulator().spawn(run_bounded(&c, 0, bump_body(obj), 1, &committed));
+  c.run_to_completion();
+  ASSERT_EQ(c.fault_points().suspended(fp::kCommitBeforeConfirm), 1u);
+  ASSERT_EQ(c.server(1).commit_log().in_flight(), 1u)
+      << "node 1 must have voted (and prepared) in the parked round";
+
+  c.kill_node(1);
+  c.fault_points().resume(fp::kCommitBeforeConfirm);
+  c.run_to_completion();
+  EXPECT_TRUE(committed);
+  c.recover_node(1);
+  c.run_to_completion();
+
+  EXPECT_EQ(c.server(1).store().version_of(obj), 2u);
+  for (std::uint32_t n = 0; n < c.num_nodes(); ++n) {
+    EXPECT_EQ(c.server(static_cast<net::NodeId>(n)).commit_log().in_flight(),
+              0u)
+        << "node " << n << " still holds a prepare";
+  }
+  EXPECT_EQ(c.metrics().indoubt_resolved_commit, 1u)
+      << "the coordinator's decision settles the replayed prepare";
+  EXPECT_EQ(c.metrics().indoubt_resolved_abort, 0u);
+}
+
+TEST(Termination, RestartedVoterSettlesReplayedPrepareFlat) {
+  expect_restarted_voter_settles(NestingMode::kFlat);
+}
+
+TEST(Termination, RestartedVoterSettlesReplayedPrepareQueued) {
+  expect_restarted_voter_settles(NestingMode::kQueued);
+}
+
 }  // namespace
 }  // namespace qrdtm::core

@@ -3,6 +3,10 @@
 // input with SerdeError, never crash or accept garbage silently).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "core/wire.h"
 
@@ -86,15 +90,117 @@ TEST(Wire, CommitMessagesRoundTrip) {
   EXPECT_TRUE(VoteResponse::decode(vote.encode()).commit);
 }
 
+BatchCommitRequest sample_batch_request() {
+  BatchCommitRequest req;
+  req.batch = 0x20000000007;
+  req.readset = {{1, 2}, {3, 4}};
+  req.writeset.push_back(BatchWriteEntry{5, 6, 3, Bytes{9, 9}});
+  req.writeset.push_back(BatchWriteEntry{7, 0, 1, Bytes{}});
+  return req;
+}
+
+TEST(Wire, BatchCommitMessagesRoundTrip) {
+  const BatchCommitRequest req = sample_batch_request();
+  const BatchCommitRequest got = BatchCommitRequest::decode(req.encode());
+  EXPECT_EQ(got.batch, req.batch);
+  ASSERT_EQ(got.readset.size(), 2u);
+  EXPECT_EQ(got.readset[1].version, 4u);
+  ASSERT_EQ(got.writeset.size(), 2u);
+  EXPECT_EQ(got.writeset[0].base, 6u);
+  EXPECT_EQ(got.writeset[0].steps, 3u);
+  EXPECT_EQ(got.writeset[0].data, (Bytes{9, 9}));
+  EXPECT_EQ(got.writeset[1].id, 7u);
+
+  const BatchVoteResponse vote{false, {5, 7}};
+  const BatchVoteResponse vgot = BatchVoteResponse::decode(vote.encode());
+  EXPECT_FALSE(vgot.commit);
+  EXPECT_EQ(vgot.stale, (std::vector<ObjectId>{5, 7}));
+
+  const BatchCommitConfirm confirm{req.batch, true, req.writeset};
+  const BatchCommitConfirm cgot = BatchCommitConfirm::decode(confirm.encode());
+  EXPECT_EQ(cgot.batch, req.batch);
+  EXPECT_TRUE(cgot.commit);
+  ASSERT_EQ(cgot.writeset.size(), 2u);
+  EXPECT_EQ(cgot.writeset[0].steps, 3u);
+}
+
+TEST(Wire, TxnStatusMessagesRoundTrip) {
+  EXPECT_EQ(TxnStatusRequest::decode(TxnStatusRequest{42}.encode()).txn, 42u);
+  for (TxnStatus status : {TxnStatus::kUnknown, TxnStatus::kCommitted,
+                           TxnStatus::kAborted, TxnStatus::kPrepared}) {
+    const TxnStatusResponse resp{42, status, 7};
+    const TxnStatusResponse got = TxnStatusResponse::decode(resp.encode());
+    EXPECT_EQ(got.txn, 42u);
+    EXPECT_EQ(got.status, status);
+    EXPECT_EQ(got.epoch, 7u);
+  }
+}
+
+// A replica must not act on values the sender could never mean: a batch
+// write with zero steps would "commit" version base+0, and a status byte
+// outside the enum has no meaning for the termination round.
+TEST(Wire, OutOfRangeFieldsAreRejected) {
+  BatchCommitRequest req = sample_batch_request();
+  req.writeset[1].steps = 0;
+  EXPECT_THROW(BatchCommitRequest::decode(req.encode()), SerdeError);
+  const BatchCommitConfirm confirm{req.batch, false, req.writeset};
+  EXPECT_THROW(BatchCommitConfirm::decode(confirm.encode()), SerdeError);
+
+  Bytes status = TxnStatusResponse{42, TxnStatus::kPrepared, 7}.encode();
+  status[8] = 4;  // the status byte follows the 8-byte txn id
+  EXPECT_THROW(TxnStatusResponse::decode(status), SerdeError);
+}
+
+// Every message a replica decodes, encoded from a valid sample.
+std::vector<std::pair<const char*, Bytes>> sample_messages(Rng& rng) {
+  CommitRequest creq;
+  creq.txn = rng.next();
+  creq.readset = {{rng.next(), rng.next()}};
+  creq.writeset.push_back(CommitWriteEntry{rng.next(), rng.next(), Bytes{1}});
+  BatchCommitRequest breq = sample_batch_request();
+  breq.batch = rng.next();
+  return {
+      {"ReadRequest", sample_read_request(rng).encode()},
+      {"CommitRequest", creq.encode()},
+      {"BatchCommitRequest", breq.encode()},
+      {"BatchVoteResponse", BatchVoteResponse{false, {rng.next()}}.encode()},
+      {"BatchCommitConfirm",
+       BatchCommitConfirm{breq.batch, true, breq.writeset}.encode()},
+      {"TxnStatusRequest", TxnStatusRequest{rng.next()}.encode()},
+      {"TxnStatusResponse",
+       TxnStatusResponse{rng.next(), TxnStatus::kCommitted, 3}.encode()},
+  };
+}
+
+// Decode `b` as the message named `kind` (one of sample_messages' names).
+void decode_as(const std::string& kind, const Bytes& b) {
+  if (kind == "ReadRequest") {
+    (void)ReadRequest::decode(b);
+  } else if (kind == "CommitRequest") {
+    (void)CommitRequest::decode(b);
+  } else if (kind == "BatchCommitRequest") {
+    (void)BatchCommitRequest::decode(b);
+  } else if (kind == "BatchVoteResponse") {
+    (void)BatchVoteResponse::decode(b);
+  } else if (kind == "BatchCommitConfirm") {
+    (void)BatchCommitConfirm::decode(b);
+  } else if (kind == "TxnStatusRequest") {
+    (void)TxnStatusRequest::decode(b);
+  } else {
+    (void)TxnStatusResponse::decode(b);
+  }
+}
+
 // Fuzz: truncations of valid messages must throw SerdeError, never crash.
 TEST(WireFuzz, TruncatedMessagesThrow) {
   Rng rng(2);
   for (int iter = 0; iter < 50; ++iter) {
-    Bytes full = sample_read_request(rng).encode();
-    for (std::size_t len = 0; len < full.size(); ++len) {
-      Bytes cut(full.begin(), full.begin() + len);
-      EXPECT_THROW(ReadRequest::decode(cut), SerdeError)
-          << "len " << len << "/" << full.size();
+    for (const auto& [kind, full] : sample_messages(rng)) {
+      for (std::size_t len = 0; len < full.size(); ++len) {
+        Bytes cut(full.begin(), full.begin() + len);
+        EXPECT_THROW(decode_as(kind, cut), SerdeError)
+            << kind << " len " << len << "/" << full.size();
+      }
     }
   }
 }
@@ -124,6 +230,16 @@ TEST(WireFuzz, RandomBytesNeverCrash) {
       ++decoded;
     } catch (const SerdeError&) {
       ++rejected;
+    }
+    for (const char* kind :
+         {"BatchCommitRequest", "BatchVoteResponse", "BatchCommitConfirm",
+          "TxnStatusRequest", "TxnStatusResponse"}) {
+      try {
+        decode_as(kind, junk);
+        ++decoded;
+      } catch (const SerdeError&) {
+        ++rejected;
+      }
     }
   }
   EXPECT_GT(rejected, 0);

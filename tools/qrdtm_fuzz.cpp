@@ -644,14 +644,17 @@ bool run_torn_recovery(std::uint64_t seed, bool broken, std::string* report) {
 /// `broken` the decision record is skipped (fp::kDecisionBeforeLog kSkip --
 /// the bug the decision-before-confirm ordering exists to prevent), so the
 /// restart finds nothing to re-drive, the acknowledged commit never reaches
-/// a single replica, and the replica-divergence check must say so.
+/// a single replica, and the replica-divergence check must say so.  `mode`
+/// picks the commit path: a flat root or a QR-Q batch, which share the one
+/// 2PC round and so the same decision record and confirm broadcast.
 /// Returns true iff a violation was reported (into *report).
-bool run_orphan_termination(std::uint64_t seed, bool broken,
-                            std::string* report) {
+bool run_orphan_termination(std::uint64_t seed, core::NestingMode mode,
+                            bool broken, std::string* report) {
   core::ClusterConfig cfg;
   cfg.num_nodes = 7;
   cfg.quorum = core::QuorumKind::kMajority;
   cfg.seed = seed;
+  cfg.runtime.mode = mode;
   core::Cluster cluster(cfg);
   core::HistoryRecorder recorder;
   cluster.set_history_recorder(&recorder);
@@ -759,8 +762,9 @@ void usage() {
       "                      broadcast with the decision record skipped, so\n"
       "                      an acknowledged commit reaches no replica; the\n"
       "                      control run (decision logged + re-driven) must\n"
-      "                      certify and the broken run must be caught;\n"
-      "                      exit 0 iff both hold\n");
+      "                      certify and the broken run must be caught, for\n"
+      "                      each of flat and queued in --modes; exit 0 iff\n"
+      "                      all hold\n");
 }
 
 std::vector<std::string> split_csv(const std::string& s, char sep = ',') {
@@ -969,44 +973,59 @@ int main(int argc, char** argv) {
     }
     return control_ok && caught ? 0 : 1;
   } else if (opt.break_termination) {
-    // Steered canary for the decision-before-confirm ordering.  Control:
-    // crash after the decision record, the restart re-drives the confirms,
-    // the acked commit survives.  Broken: same crash with the decision
-    // record skipped -- the acked commit reaches no replica and the
-    // divergence check must catch it.
-    bool control_ok = true;
-    std::string report;
-    for (std::uint32_t s = 0; s < (opt.seeds < 2 ? opt.seeds : 2); ++s) {
-      if (run_orphan_termination(opt.seed_base + s, /*broken=*/false,
-                                 &report)) {
-        std::printf("fuzz: ERROR -- control orphan-termination run seed=%llu "
-                    "reported a violation:\n  %s\n",
-                    static_cast<unsigned long long>(opt.seed_base + s),
+    // Steered canary for the decision-before-confirm ordering, once per
+    // commit path selected by --modes (flat roots and QR-Q batches).
+    // Control: crash after the decision record, the restart re-drives the
+    // confirms, the acked commit survives.  Broken: same crash with the
+    // decision record skipped -- the acked commit reaches no replica and
+    // the divergence check must catch it.
+    bool all_ok = true;
+    bool ran = false;
+    for (core::NestingMode mode : opt.modes) {
+      if (mode != core::NestingMode::kFlat &&
+          mode != core::NestingMode::kQueued) {
+        continue;
+      }
+      ran = true;
+      const char* mname = mode_name(mode);
+      std::string report;
+      for (std::uint32_t s = 0; s < (opt.seeds < 2 ? opt.seeds : 2); ++s) {
+        if (run_orphan_termination(opt.seed_base + s, mode, /*broken=*/false,
+                                   &report)) {
+          std::printf("fuzz: ERROR -- control orphan-termination run "
+                      "mode=%s seed=%llu reported a violation:\n  %s\n",
+                      mname, static_cast<unsigned long long>(opt.seed_base + s),
+                      report.c_str());
+          all_ok = false;
+        }
+      }
+      bool caught = false;
+      std::uint64_t caught_seed = 0;
+      const std::uint32_t seeds = opt.seeds < 4 ? opt.seeds : 4;
+      for (std::uint32_t s = 0; s < seeds && !caught; ++s) {
+        if (run_orphan_termination(opt.seed_base + s, mode, /*broken=*/true,
+                                   &report)) {
+          caught = true;
+          caught_seed = opt.seed_base + s;
+        }
+      }
+      if (caught) {
+        std::printf("fuzz: checker caught the skipped-decision-record bug "
+                    "(mode=%s seed=%llu)\n  %s\n",
+                    mname, static_cast<unsigned long long>(caught_seed),
                     report.c_str());
-        control_ok = false;
+      } else {
+        std::printf("fuzz: ERROR -- termination broken (mode=%s) but no "
+                    "violation detected (%s)\n",
+                    mname, report.c_str());
+        all_ok = false;
       }
     }
-    bool caught = false;
-    std::uint64_t caught_seed = 0;
-    const std::uint32_t seeds = opt.seeds < 4 ? opt.seeds : 4;
-    for (std::uint32_t s = 0; s < seeds && !caught; ++s) {
-      if (run_orphan_termination(opt.seed_base + s, /*broken=*/true,
-                                 &report)) {
-        caught = true;
-        caught_seed = opt.seed_base + s;
-      }
+    if (!ran) {
+      std::printf("fuzz: ERROR -- --break-termination needs flat or queued "
+                  "in --modes\n");
     }
-    if (caught) {
-      std::printf("fuzz: checker caught the skipped-decision-record bug "
-                  "(seed=%llu)\n  %s\n",
-                  static_cast<unsigned long long>(caught_seed),
-                  report.c_str());
-    } else {
-      std::printf("fuzz: ERROR -- termination broken but no violation "
-                  "detected (%s)\n",
-                  report.c_str());
-    }
-    return control_ok && caught ? 0 : 1;
+    return all_ok && ran ? 0 : 1;
   } else if (opt.break_validation) {
     // Focused detection run: high contention, no chaos needed -- the
     // protocol itself is broken, the checker must see it.  The bug is
