@@ -33,6 +33,13 @@ struct Golden {
   std::uint64_t batches = 0;
 };
 
+// Without this gtest prints the raw bytes of a Golden, whose first field is
+// a pointer: the listed test names (and so the ctest names) would change
+// with the load address on every build.
+void PrintTo(const Golden& g, std::ostream* os) {
+  *os << g.app << "/" << core::to_string(g.mode);
+}
+
 ExperimentConfig config_for(const char* app, core::NestingMode mode) {
   ExperimentConfig cfg;
   cfg.app = app;
