@@ -222,10 +222,10 @@ void Cluster::recover_node(net::NodeId node) {
   QrServer& server = *servers_[node];
   if (cfg_.durable_log) {
     // Process restart under durable logging: memory is gone wholesale; the
-    // commit log is the disk.  Replay it locally -- protections and PR/PW
-    // are not logged, so in-flight 2PC bookkeeping stays dead, exactly as
-    // before.  fp::kRecoverySkipReplay armed kSkip models a node that lost
-    // its disk (the broken-recovery canary): it restarts from nothing.
+    // commit log is the disk.  Replay it locally -- protections are not
+    // logged, so in-flight 2PC bookkeeping stays dead, exactly as before.
+    // fp::kRecoverySkipReplay armed kSkip models a node that lost its disk
+    // (the broken-recovery canary): it restarts from nothing.
     if (faults_.fire(fp::kRecoverySkipReplay, node) == FaultAction::kSkip) {
       server.store().clear_all();
     } else {

@@ -166,8 +166,8 @@ class Cluster {
   ///   2. crash-wipe the replica: under durable logging the whole in-memory
   ///      store is lost and rebuilt by replaying the node's commit log
   ///      (image + tail, fp::kRecoverySkipReplay skips it); without it only
-  ///      volatile 2PC state (protections, PR/PW) is wiped and committed
-  ///      versions survive in place,
+  ///      volatile 2PC state (protections) is wiped and committed versions
+  ///      survive in place,
   ///   3. mark the replica *syncing* (it refuses reads/votes), and
   ///   4. spawn an anti-entropy catch-up: pull from a full read quorum of
   ///      live nodes -- version-bounded (the request carries the replayed

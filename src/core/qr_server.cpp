@@ -229,10 +229,6 @@ std::optional<ReadResponse> QrServer::validate(const ReadRequest& req) {
         e.version < local || check_protected(e.id, req.root);
     if (!invalid) continue;
     any_invalid = true;
-    // Alg. 1 line 8: drop the owner from PR/PW.  Owners are tracked per
-    // root transaction on replicas (CTs keep no remote metadata), so the
-    // bookkeeping key is the root.
-    store_.drop_txn(req.root);
     if (req.mode == NestingMode::kClosed) {
       if (e.owner_depth < abort_depth) {
         abort_depth = e.owner_depth;
@@ -304,14 +300,6 @@ ReadResponse QrServer::handle_read(const ReadRequest& req) {
   resp.status = ReadStatus::kOk;
   resp.version = e->version;
   resp.data = e->data;
-
-  // Alg. 2 line 17-18: PR/PW metadata is kept for root transactions only,
-  // which is what lets a CT commit locally.
-  if (req.for_write) {
-    store_.add_writer(req.object, req.root);
-  } else {
-    store_.add_reader(req.object, req.root);
-  }
   return resp;
 }
 
@@ -437,7 +425,6 @@ void QrServer::confirm(TxnId txn, bool commit,
     // certifies them as a serial chain.
     if (commit) store_.apply(e.id, e.base + steps_of(e), e.data);
   }
-  store_.drop_txn(txn);
   record_outcome(txn, commit);
 }
 
@@ -508,6 +495,11 @@ sim::Task<void> QrServer::termination_task(TxnId txn) {
   // protection stays!) so the next conflicting access starts a fresh
   // attempt -- the transaction stays in-doubt rather than guessing.
   constexpr std::uint32_t kMaxRounds = 4;
+  // Round-trip budget for one round: queries go out, then the replica waits
+  // this long for TxnStatusResponse notifies before evaluating the
+  // presumed-abort rule.  Backoff between rounds draws from [timeout/2, ...)
+  // via core/backoff.h.
+  constexpr sim::Tick kRoundTimeout = sim::msec(100);
   for (std::uint32_t round = 1; round <= kMaxRounds; ++round) {
     {
       const auto it = term_.find(txn);
@@ -524,7 +516,7 @@ sim::Task<void> QrServer::termination_task(TxnId txn) {
         rpc_.notify(n, msg::kTxnStatusRequest, std::move(w).take());
       }
     }
-    co_await rpc_.simulator().delay(termination_timeout_);
+    co_await rpc_.simulator().delay(kRoundTimeout);
     {
       const auto it = term_.find(txn);
       if (it == term_.end()) co_return;  // a response resolved it
@@ -544,7 +536,7 @@ sim::Task<void> QrServer::termination_task(TxnId txn) {
     }
     if (round < kMaxRounds) {
       co_await rpc_.simulator().delay(draw_backoff_wait(
-          termination_timeout_, termination_timeout_ * 8, round, term_rng_));
+          kRoundTimeout, kRoundTimeout * 8, round, term_rng_));
     }
   }
   term_.erase(txn);
@@ -619,7 +611,6 @@ void QrServer::resolve_indoubt(TxnId txn, bool commit) {
     store_.unprotect(lw.id, txn);
     if (commit && !replayed) store_.apply(lw.id, lw.base + lw.steps, lw.data);
   }
-  store_.drop_txn(txn);
   if (metrics_ != nullptr) {
     if (commit) {
       ++metrics_->indoubt_resolved_commit;

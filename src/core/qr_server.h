@@ -6,8 +6,8 @@
 // the paper where the remote side of every operation is a local decision.
 //
 //   * kRead          -- Rqv validation of the requester's data-set (Alg. 1 /
-//     Alg. 4), then serve the local copy (Alg. 2 "Remote"), maintaining
-//     PR/PW for root transactions only.
+//     Alg. 4), then serve the local copy (Alg. 2 "Remote").  No PR/PW
+//     lists are kept (DESIGN.md §7).
 //   * kCommitRequest / kBatchCommitRequest -- 2PC vote: validate read-set
 //     versions and write-set bases, check protection, protect the write-set
 //     on a commit vote.  One routine serves both: a flat commit is a batch
@@ -128,15 +128,6 @@ class QrServer {
 
   /// Number of protections shed by the lease (test observability).
   std::uint64_t lease_breaks() const { return lease_breaks_; }
-
-  /// Round-trip budget for one termination round: queries go out, then the
-  /// replica waits this long for TxnStatusResponse notifies before
-  /// evaluating the presumed-abort rule.  Backoff between rounds draws from
-  /// [timeout/2, ...) via core/backoff.h.
-  void set_termination_timeout(sim::Tick timeout) {
-    termination_timeout_ = timeout;
-  }
-  sim::Tick termination_timeout() const { return termination_timeout_; }
 
   /// In-doubt transactions currently running a termination round.
   std::size_t terminations_in_flight() const { return term_.size(); }
@@ -287,7 +278,6 @@ class QrServer {
   bool skip_commit_validation_ = false;
 
   // --- cooperative termination state (DESIGN.md §17) ---
-  sim::Tick termination_timeout_ = sim::msec(100);
   std::uint64_t confirm_duplicates_ = 0;
   /// Applied 2PC outcomes, keyed txn -> (liveness epoch, commit): the
   /// idempotence set that lets confirms be retransmitted at-least-once.

@@ -170,9 +170,8 @@ class Txn {
   /// object payload.  Throws AbortException on conflict.
   sim::Task<Bytes> read(ObjectId id);
 
-  /// Acquire a writable copy (read-quorum fetch registering the transaction
-  /// as a potential writer), returning the current payload.  A copy already
-  /// in scope is upgraded locally.
+  /// Acquire a writable copy (read-quorum fetch), returning the current
+  /// payload.  A copy already in scope is upgraded locally.
   sim::Task<Bytes> read_for_write(ObjectId id);
 
   /// Buffer a new value for an object previously acquired with
@@ -205,13 +204,10 @@ class Txn {
 
   TxnId scope_id() const { return scope_id_; }
   std::uint32_t depth() const { return depth_; }
-  bool is_root() const { return parent_ == nullptr; }
   TxnRuntime& runtime() { return rt_; }
   /// Workload randomness helper (deterministic per node).
   Rng& rng();
 
-  std::size_t readset_size() const { return readset_.size(); }
-  std::size_t writeset_size() const { return writeset_.size(); }
   ChkEpoch current_epoch() const { return epoch_; }
   std::uint64_t checkpoints_taken() const { return checkpoints_.size(); }
 

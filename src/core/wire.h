@@ -44,9 +44,13 @@ struct DataSetEntry {
 };
 
 struct ReadRequest {
-  TxnId root = 0;  // root transaction id (PR/PW bookkeeping key)
+  // Root transaction id: keys only the requester's own protection, which
+  // check_protected lets it read through.
+  TxnId root = 0;
   NestingMode mode = NestingMode::kFlat;
   ObjectId object = 0;
+  // Unread by the server; the benchmark-scope wire change (ROADMAP item 3)
+  // removes it together with perfbench's positional encoder.
   bool for_write = false;
   std::vector<DataSetEntry> dataset;  // empty under flat QR
 

@@ -184,7 +184,6 @@ class Network {
     partition_active_ = true;
   }
   void clear_partition() { partition_active_ = false; }
-  bool partition_active() const { return partition_active_; }
 
   const NetStats& stats() const { return stats_; }
 

@@ -101,9 +101,10 @@ TEST(Cluster, SeedObjectInstallsOnEveryReplica) {
   }
 }
 
-TEST(Cluster, PrPwBookkeepingIsCleanedAfterCommit) {
-  // After a transaction commits, the write-quorum replicas must have
-  // dropped it from their PR/PW lists (the confirm's drop_txn).
+TEST(Cluster, CommitLeavesNoProtectionOrPrepareBehind) {
+  // After a transaction commits, the write-quorum replicas hold no
+  // per-transaction state for it: the confirm released the protection and
+  // settled the logged prepare, and no termination round is running.
   ClusterConfig cfg;
   cfg.num_nodes = 13;
   Cluster c(cfg);
@@ -114,7 +115,10 @@ TEST(Cluster, PrPwBookkeepingIsCleanedAfterCommit) {
   });
   c.run_to_completion();
   for (net::NodeId n : c.quorums().write_quorum(0)) {
-    EXPECT_EQ(c.server(n).store().tracked_txn_entries(), 0u) << "node " << n;
+    const QrServer& s = c.server(n);
+    EXPECT_FALSE(s.store().find(obj)->is_protected) << "node " << n;
+    EXPECT_EQ(s.commit_log().in_flight(), 0u) << "node " << n;
+    EXPECT_EQ(s.terminations_in_flight(), 0u) << "node " << n;
   }
 }
 

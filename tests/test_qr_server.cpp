@@ -68,24 +68,13 @@ ReadRequest basic_read(ObjectId obj, NestingMode mode, TxnId root = 100) {
   return req;
 }
 
-TEST(QrServer, ReadServesCopyAndTracksPotentialReaders) {
+TEST(QrServer, ReadServesCopy) {
   Rig rig;
   rig.store().seed(1, Bytes{0xAA}, 3);
   ReadResponse resp = rig.read(basic_read(1, NestingMode::kFlat));
   EXPECT_EQ(resp.status, ReadStatus::kOk);
   EXPECT_EQ(resp.version, 3u);
   EXPECT_EQ(resp.data, Bytes{0xAA});
-  EXPECT_EQ(rig.store().find(1)->pr.count(100), 1u);
-  EXPECT_TRUE(rig.store().find(1)->pw.empty());
-}
-
-TEST(QrServer, WriteIntentTracksPotentialWriters) {
-  Rig rig;
-  rig.store().seed(1, Bytes{}, 1);
-  ReadRequest req = basic_read(1, NestingMode::kFlat);
-  req.for_write = true;
-  (void)rig.read(req);
-  EXPECT_EQ(rig.store().find(1)->pw.count(100), 1u);
 }
 
 TEST(QrServer, UnknownObjectReportsMissing) {
@@ -143,22 +132,6 @@ TEST(QrServer, RqvChkReportsMinimumInvalidEpoch) {
   ReadResponse resp = rig.read(req);
   ASSERT_EQ(resp.status, ReadStatus::kAbort);
   EXPECT_EQ(resp.abort_chk, 3u);
-}
-
-TEST(QrServer, RqvDropsOwnerFromPrPwOnFailure) {
-  Rig rig;
-  rig.store().seed(1, Bytes{}, 5);
-  rig.store().seed(2, Bytes{}, 1);
-  (void)rig.read(basic_read(1, NestingMode::kClosed, /*root=*/100));
-  EXPECT_EQ(rig.store().find(1)->pr.count(100), 1u);
-
-  // Make entry 1 stale and read object 2 under the same root.
-  rig.store().apply(1, 6, Bytes{});
-  ReadRequest req = basic_read(2, NestingMode::kClosed, /*root=*/100);
-  req.dataset.push_back(DataSetEntry{1, 5, 100, 0, 0});
-  ASSERT_EQ(rig.read(req).status, ReadStatus::kAbort);
-  EXPECT_EQ(rig.store().find(1)->pr.count(100), 0u)
-      << "Alg. 1 line 8: owner dropped from PR/PW";
 }
 
 TEST(QrServer, ProtectedObjectAbortsRqvReadersButServesFlat) {
