@@ -253,10 +253,12 @@ TEST(QrServer, ConfirmCreatesFreshObjects) {
 // per-transaction kinds (every write is one step) and the QR-Q batch kinds
 // (a write absorbs `steps` queued writes).  Each case runs through both.
 
+// gtest names each case with a raw dump of these bytes, so the struct holds
+// no pointer and no padding: the test names must not change from process to
+// process.
 struct TwoPhaseKind {
-  const char* name;
-  bool batch;
-  std::uint32_t steps;  // per write: always 1 on the per-transaction kinds
+  std::uint64_t batch;  // 0: per-transaction kinds, 1: QR-Q batch kinds
+  std::uint64_t steps;  // per write: always 1 on the per-transaction kinds
 };
 
 class QrServerTwoPhase : public ::testing::TestWithParam<TwoPhaseKind> {
@@ -288,7 +290,8 @@ class QrServerTwoPhase : public ::testing::TestWithParam<TwoPhaseKind> {
       const std::vector<CommitWriteEntry>& writes) const {
     std::vector<BatchWriteEntry> out;
     for (const CommitWriteEntry& w : writes) {
-      out.push_back(BatchWriteEntry{w.id, w.base, GetParam().steps, w.data});
+      out.push_back(BatchWriteEntry{
+          w.id, w.base, static_cast<std::uint32_t>(GetParam().steps), w.data});
     }
     return out;
   }
@@ -355,9 +358,10 @@ TEST_P(QrServerTwoPhase, ConfirmCreatesFreshObjects) {
 
 INSTANTIATE_TEST_SUITE_P(
     BothKinds, QrServerTwoPhase,
-    ::testing::Values(TwoPhaseKind{"PerTxn", false, 1},
-                      TwoPhaseKind{"Batch", true, 3}),
-    [](const auto& info) { return std::string(info.param.name); });
+    ::testing::Values(TwoPhaseKind{0, 1}, TwoPhaseKind{1, 3}),
+    [](const auto& info) {
+      return std::string(info.param.batch ? "Batch" : "PerTxn");
+    });
 
 // The vote scans every entry: an abort names all the stale ids, so QR-Q
 // re-fetches exactly those queues.
