@@ -46,11 +46,12 @@ int main() {
     for (std::size_t i = 0; i < std::size(thresholds); ++i) {
       warn_if_corrupt(results[i], app);
       const auto& r = results[i];
-      double chks = r.commits ? static_cast<double>(r.checkpoints) /
-                                    static_cast<double>(r.commits)
+      const core::Metrics& m = r.metrics;
+      double chks = m.commits ? static_cast<double>(m.checkpoints_created) /
+                                    static_cast<double>(m.commits)
                               : 0.0;
-      double rolls = r.commits ? static_cast<double>(r.partial_rollbacks) /
-                                     static_cast<double>(r.commits)
+      double rolls = m.commits ? static_cast<double>(m.partial_rollbacks) /
+                                     static_cast<double>(m.commits)
                                : 0.0;
       std::printf("%6u %s %s %s %s\n", thresholds[i],
                   fmt(r.throughput, 10).c_str(),

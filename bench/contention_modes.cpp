@@ -63,6 +63,7 @@ bool write_json(const std::string& path, const std::vector<Point>& points,
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
     const ExperimentResult& r = p.res;
+    const core::Metrics& m = r.metrics;
     std::fprintf(
         f,
         "    {\"app\": \"%s\", \"mode\": \"%s\", \"objects\": %u, "
@@ -73,13 +74,13 @@ bool write_json(const std::string& path, const std::vector<Point>& points,
         "\"commit_p50_ms\": %.1f, \"commit_p99_ms\": %.1f, "
         "\"invariants_ok\": %s}%s\n",
         p.app.c_str(), core::to_string(p.mode), p.objects,
-        static_cast<unsigned long long>(r.commits), commits_per_sec(r),
-        static_cast<unsigned long long>(r.total_aborts()),
-        r.commits ? r.abort_rate() : 0.0,
-        static_cast<unsigned long long>(r.batches),
-        static_cast<unsigned long long>(r.speculation_rollbacks),
-        static_cast<unsigned long long>(r.batch_read_hits),
-        r.messages_per_commit(), p_ms(r, 50), p_ms(r, 99),
+        static_cast<unsigned long long>(m.commits), commits_per_sec(r),
+        static_cast<unsigned long long>(m.total_aborts()),
+        m.commits ? m.abort_rate() : 0.0,
+        static_cast<unsigned long long>(m.batches_committed),
+        static_cast<unsigned long long>(m.speculation_rollbacks),
+        static_cast<unsigned long long>(m.batch_read_hits),
+        m.messages_per_commit(), p_ms(r, 50), p_ms(r, 99),
         r.invariants_ok ? "true" : "false",
         i + 1 < points.size() ? "," : "");
   }
@@ -134,9 +135,10 @@ int main(int argc, char** argv) {
         const ExperimentResult& r = results[idx++];
         warn_if_corrupt(r, app + "/" + core::to_string(mode));
         std::printf("%4u   %-11s %s %s %s %s %s\n", objects, mode_label(mode),
-                    fmt(r.throughput).c_str(), fmt(r.abort_rate(), 8, 2).c_str(),
+                    fmt(r.throughput).c_str(),
+                    fmt(r.metrics.abort_rate(), 8, 2).c_str(),
                     fmt(p_ms(r, 50), 8).c_str(), fmt(p_ms(r, 99), 8).c_str(),
-                    fmt(r.messages_per_commit(), 8).c_str());
+                    fmt(r.metrics.messages_per_commit(), 8).c_str());
         points.push_back({app, mode, objects, r});
         if (mode == core::NestingMode::kFlat) flat = &r;
         if (mode == core::NestingMode::kClosed) closed = &r;
@@ -147,8 +149,10 @@ int main(int argc, char** argv) {
       if (objects == kPopulations[std::size(kPopulations) - 1]) {
         const bool ok = queued->throughput > flat->throughput &&
                         queued->throughput > closed->throughput &&
-                        queued->abort_rate() < flat->abort_rate() &&
-                        queued->abort_rate() < closed->abort_rate();
+                        queued->metrics.abort_rate() <
+                            flat->metrics.abort_rate() &&
+                        queued->metrics.abort_rate() <
+                            closed->metrics.abort_rate();
         std::printf("  -> hottest point (%u objects): QR-Q %s flat+closed "
                     "on throughput and abort rate\n",
                     objects, ok ? "beats" : "DOES NOT beat");

@@ -19,7 +19,6 @@ namespace {
 
 struct Row {
   double tput = 0;
-  double aborts_per_commit = 0;
   double msgs_per_commit = 0;
   bool ok = false;
 };
@@ -50,13 +49,7 @@ Row run(core::NestingMode mode, bool open, double ratio,
   Row row;
   const auto& m = cluster.metrics();
   row.tput = m.throughput(cluster.duration());
-  row.aborts_per_commit =
-      m.commits ? static_cast<double>(m.total_aborts()) /
-                      static_cast<double>(m.commits)
-                : 0;
-  row.msgs_per_commit = m.commits ? static_cast<double>(m.total_messages()) /
-                                        static_cast<double>(m.commits)
-                                  : 0;
+  row.msgs_per_commit = m.messages_per_commit();
   cluster.run_to_completion();
   bool ok = false;
   cluster.spawn_client(0, app.make_checker(&ok));

@@ -159,11 +159,13 @@ SystemPoint run_decent(std::uint32_t nodes, double ratio, std::uint64_t seed) {
   }
   c.run_for(point_duration());
   if (std::getenv("QRDTM_FIG9_DEBUG")) {
-    const auto& m = c.metrics();
-    std::printf("  [decent n=%u] commits=%lu aborts=%lu vote_ab=%lu snap_fail=%lu rd=%lu cm=%lu\n",
-                nodes, (unsigned long)m.commits, (unsigned long)m.root_aborts,
-                (unsigned long)m.vote_aborts, (unsigned long)m.validation_failures,
-                (unsigned long)m.read_messages, (unsigned long)m.commit_messages);
+    std::printf("  [decent n=%u]", nodes);
+    c.metrics().for_each([](const char* name, const char*, std::uint64_t v) {
+      if (v != 0) {
+        std::printf(" %s=%llu", name, static_cast<unsigned long long>(v));
+      }
+    });
+    std::printf("\n");
   }
   return from_latency(c.metrics().throughput(c.duration()), c.latency());
 }

@@ -108,20 +108,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   res.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
   res.events_executed = cluster.simulator().events_executed();
-  res.commits = cluster.metrics().commits;
-  res.root_aborts = cluster.metrics().root_aborts;
-  res.ct_aborts = cluster.metrics().ct_aborts;
-  res.partial_rollbacks = cluster.metrics().partial_rollbacks;
-  res.checkpoints = cluster.metrics().checkpoints_created;
-  res.vote_aborts = cluster.metrics().vote_aborts;
-  res.validation_failures = cluster.metrics().validation_failures;
-  res.read_messages = cluster.metrics().read_messages;
-  res.commit_messages = cluster.metrics().commit_messages;
-  res.node_recoveries = cluster.metrics().node_recoveries;
-  res.batches = cluster.metrics().batches_committed;
-  res.speculation_rollbacks = cluster.metrics().speculation_rollbacks;
-  res.batch_read_hits = cluster.metrics().batch_read_hits;
-  res.throughput = cluster.metrics().throughput(cluster.duration());
+  res.metrics = cluster.metrics();
+  res.throughput = res.metrics.throughput(cluster.duration());
   res.latency = cluster.merged_latency();
   if (cfg.collect_per_node_latency) {
     res.node_latency.reserve(cfg.num_nodes);

@@ -102,8 +102,6 @@ struct DecentConfig {
   sim::Tick rpc_timeout = sim::msec(500);
   /// Snapshot-algorithm bookkeeping charged per remote operation.
   sim::Tick snapshot_compute = sim::msec(15);
-  sim::Tick backoff_base = sim::msec(1);
-  sim::Tick backoff_cap = sim::msec(32);
   /// Coordinator-liveness lease on replica-side write locks: a lock
   /// outstanding this long is presumed orphaned (its coordinator died
   /// between vote and apply) and is shed on the next conflicting vote.  Far

@@ -521,7 +521,7 @@ sim::Task<bool> TfaCluster::run_transaction_bounded(net::NodeId node,
     if (max_attempts != 0 && attempt >= max_attempts) co_return false;
     const sim::Tick abort_tick = sim_.now();
     const sim::Tick wait = core::draw_backoff_wait(
-        cfg_.backoff_base, cfg_.backoff_cap, attempt, rng_);
+        core::kBackoffBase, core::kBackoffCap, attempt, rng_);
     latency_.backoff_wait.record(wait);
     if (wait > 0) co_await sim_.delay(wait);
     latency_.retry_gap.record(sim_.now() - abort_tick);

@@ -128,8 +128,6 @@ struct TfaConfig {
   sim::Tick link_jitter = sim::msec(1);
   sim::Tick service_time = sim::usec(60);
   sim::Tick rpc_timeout = sim::msec(500);
-  sim::Tick backoff_base = sim::msec(1);
-  sim::Tick backoff_cap = sim::msec(32);
   /// N-TFA: closed-nested scopes with partial abort (off = flat TFA, the
   /// HyFlow baseline the paper compares against).
   bool closed_nesting = false;

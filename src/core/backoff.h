@@ -10,6 +10,12 @@
 
 namespace qrdtm::core {
 
+/// Root-abort backoff window: the first retry waits about kBackoffBase, and
+/// the window doubles per attempt up to kBackoffCap.  The QR runtime and
+/// both baselines retry with these same bounds.
+inline constexpr sim::Tick kBackoffBase = sim::msec(1);
+inline constexpr sim::Tick kBackoffCap = sim::msec(32);
+
 /// Draw the wait before retry `attempt` (1-based).  The window doubles with
 /// each attempt up to `cap`; the draw is jittered into [window/2,
 /// 1.5*window) so that two clients aborted by the same conflict do not

@@ -26,7 +26,7 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
   std::unique_ptr<net::LatencyModel> latency;
   if (cfg_.metric_space) {
     latency = std::make_unique<net::GridLatency>(
-        cfg_.num_nodes, cfg_.link_latency, cfg_.metric_scale, seeder.next(),
+        cfg_.num_nodes, cfg_.link_latency, kMetricScale, seeder.next(),
         cfg_.link_jitter);
   } else {
     latency = std::make_unique<net::UniformLatency>(cfg_.link_latency,
@@ -39,15 +39,13 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
     case QuorumKind::kTree: {
       quorum::TreeQuorumProvider::Config qc;
       qc.num_nodes = cfg_.num_nodes;
-      qc.degree = cfg_.tree_degree;
       qc.read_level = cfg_.tree_read_level;
-      qc.same_for_all = cfg_.same_quorums_for_all;
       quorums_ = std::make_unique<quorum::TreeQuorumProvider>(qc);
       break;
     }
     case QuorumKind::kMajority:
-      quorums_ = std::make_unique<quorum::MajorityQuorumProvider>(
-          cfg_.num_nodes, cfg_.same_quorums_for_all);
+      quorums_ =
+          std::make_unique<quorum::MajorityQuorumProvider>(cfg_.num_nodes);
       break;
     case QuorumKind::kFlatFailureAware:
       quorums_ =
@@ -61,9 +59,7 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
       sc.inner = cfg_.sharded_majority_inner
                      ? quorum::ShardedQuorumProvider::Inner::kMajority
                      : quorum::ShardedQuorumProvider::Inner::kTree;
-      sc.tree_degree = cfg_.tree_degree;
       sc.tree_read_level = cfg_.tree_read_level;
-      sc.same_for_all = cfg_.same_quorums_for_all;
       quorums_ = std::make_unique<quorum::ShardedQuorumProvider>(sc);
       break;
     }
@@ -84,7 +80,8 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
   for (std::uint32_t i = 0; i < cfg_.num_nodes; ++i) {
     endpoints_.push_back(std::make_unique<net::RpcEndpoint>(sim_, *net_));
     QRDTM_CHECK(endpoints_.back()->id() == i);
-    servers_.push_back(std::make_unique<QrServer>(*endpoints_.back()));
+    servers_.push_back(
+        std::make_unique<QrServer>(*endpoints_.back(), metrics_));
     lock_managers_.push_back(
         std::make_unique<LockManager>(*endpoints_.back()));
     runtimes_.push_back(std::make_unique<TxnRuntime>(
@@ -96,7 +93,6 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
     servers_.back()->set_fault_points(&faults_);
     servers_.back()->set_durable_log(cfg_.durable_log);
     servers_.back()->set_quorum_provider(quorums_.get());
-    servers_.back()->set_metrics(&metrics_);
     servers_.back()->set_max_tail_bytes(cfg_.runtime.log_max_tail_bytes);
     if (cfg_.durable_log) {
       // Coordinator decision records (DESIGN.md §17) share the co-located

@@ -37,16 +37,19 @@ enum class QuorumKind {
   kSharded,           // partial replication over quorum cohorts
 };
 
+/// Metric-space latency per unit of distance on the node square.
+inline constexpr sim::Tick kMetricScale = sim::msec(20);
+
 struct ClusterConfig {
   std::uint32_t num_nodes = 13;
   std::uint64_t seed = 1;
 
   RuntimeConfig runtime;
 
+  /// Tree quorums are ternary and every node uses the same quorums (the
+  /// paper's experimental setting): the providers' Config defaults.
   QuorumKind quorum = QuorumKind::kTree;
-  std::uint32_t tree_degree = 3;
   std::uint32_t tree_read_level = 1;
-  bool same_quorums_for_all = true;  // the paper's experimental setting
 
   /// kSharded only: cohort count (objects hash to cohorts via CohortMap)
   /// and replicas per cohort.  Each cohort runs its own inner tree (the
@@ -65,9 +68,8 @@ struct ClusterConfig {
   sim::Tick link_jitter = sim::msec(5);
   /// cc DTM assumes a metric-space network (paper §I).  When true, nodes
   /// are placed on a unit square and one-way latency is
-  /// link_latency + distance * metric_scale (+ jitter) instead of uniform.
+  /// link_latency + distance * kMetricScale (+ jitter) instead of uniform.
   bool metric_space = false;
-  sim::Tick metric_scale = sim::msec(20);
   /// Per-message processing time at a replica (drives the Fig. 10 hotspot
   /// behaviour).
   sim::Tick service_time = sim::usec(60);

@@ -4,6 +4,10 @@
 // (commits / simulated second), abort rates (root + child aborts, partial
 // rollbacks), and message counts split into read and commit requests
 // (Fig. 8 reports percentage deltas of exactly these two categories).
+//
+// QRDTM_METRICS is the one declaration of every counter: X(name, help).
+// It generates the Metrics fields and Metrics::for_each, and every exporter
+// walks for_each, so a counter added here reaches every export.
 #pragma once
 
 #include <cstdint>
@@ -11,82 +15,93 @@
 
 #include "sim/simulator.h"
 
+// clang-format off
+#define QRDTM_METRICS(X)                                                      \
+  /* --- outcomes --- */                                                      \
+  X(commits, "root transactions committed")                                   \
+  X(root_aborts, "full aborts (root restarted)")                              \
+  X(ct_aborts, "QR-CN: closed-nested scope retries")                          \
+  X(partial_rollbacks, "QR-CHK: rollbacks to a checkpoint")                   \
+  X(local_commits, "commits that needed no 2PC (Rqv)")                        \
+  /* --- mechanism counters --- */                                            \
+  X(remote_reads, "read requests issued (per quorum op)")                     \
+  X(local_read_hits, "reads served from own/ancestor data-set")               \
+  X(commit_requests, "2PC rounds started")                                    \
+  X(validation_failures, "Rqv abort replies received")                        \
+  X(vote_aborts, "2PC rounds that lost a vote")                               \
+  X(checkpoints_created, "QR-CHK checkpoints created")                        \
+  X(step_guard_trips, "zombie executions cut short")                          \
+  /* --- QR-Q (queued speculative batching) --- */                            \
+  X(batches_committed, "batch 2PC rounds that committed")                     \
+  X(speculation_rollbacks, "batch rounds aborted + re-run")                   \
+  X(batch_read_hits, "reads served from the batch cache")                     \
+  /* --- recovery (churn experiments) --- */                                  \
+  X(node_recoveries, "replicas that completed catch-up")                      \
+  /* Objects shipped over the wire by delta-bounded catch-up pulls (the      \
+     rejoining node sent post-log-replay version bounds, servers returned    \
+     only strictly-newer copies).  Compare against recovery_full_objects:    \
+     delta recovery is the point of the commit log, and the test suite       \
+     asserts delta << full on the same workload. */                          \
+  X(recovery_delta_objects, "objects shipped by delta-bounded catch-up pulls") \
+  /* Objects shipped by legacy full-store pulls (no bounds: durable logging  \
+     off, or the local log was unusable). */                                 \
+  X(recovery_full_objects, "objects shipped by full-store catch-up pulls")    \
+  X(log_replay_applies, "apply ops replayed from local logs")                 \
+  X(checkpoint_cuts, "commit-log cuts taken cluster-wide")                    \
+  /* Recovery attempts that exhausted every delta-pull round without         \
+     gathering a full read quorum.  The node stays syncing and a re-attempt  \
+     is scheduled; a nonzero count under churn is expected, a *growing*      \
+     count with no matching node_recoveries means a wedged replica. */       \
+  X(recovery_failures, "recovery attempts that found no full read quorum")    \
+  X(log_autocuts, "checkpoint cuts forced by max_tail_bytes")                 \
+  /* --- cooperative 2PC termination (DESIGN.md §17) --- */                   \
+  /* In-doubt prepares resolved to commit by a termination round (a peer or  \
+     the coordinator supplied the decision, or an applied copy proved it). */\
+  X(indoubt_resolved_commit, "in-doubt prepares resolved to commit")          \
+  /* In-doubt prepares resolved to abort: an authoritative abort answer, or  \
+     presumed-abort after a full round of "no decision + coordinator         \
+     restarted into a newer liveness epoch". */                              \
+  X(indoubt_resolved_abort, "in-doubt prepares resolved to abort")            \
+  /* TxnStatusRequest rounds issued (each round multicasts one query to the  \
+     coordinator and the write-quorum peers, then waits out a backoff). */   \
+  X(termination_rounds, "termination query rounds issued")                    \
+  /* Confirms dropped as duplicates by the (txn, epoch) applied-set --       \
+     at-least-once retransmission from recovered coordinators and resolving  \
+     peers makes these routine, never double-applied. */                     \
+  X(confirm_duplicates, "confirms dropped as duplicates")                     \
+  /* Merely-protected entries (no durable yes-vote) shed by the              \
+     coordinator-liveness lease on a later conflicting read or vote. */      \
+  X(lease_breaks, "protections shed by the coordinator-liveness lease")       \
+  /* --- sharded cohorts --- */                                               \
+  /* 2PC vote rounds whose read+write set spanned more than one quorum       \
+     cohort (the multicast covered several cohorts' write quorums). */       \
+  X(cross_shard_rounds, "2PC rounds spanning several cohorts")                \
+  /* --- QR-ON (open nesting extension) --- */                                \
+  X(open_commits, "open-nested bodies committed")                             \
+  X(compensations_run, "open-nested bodies undone after a root abort")        \
+  X(lock_conflicts, "abstract-lock acquisition retries")                      \
+  X(lock_messages, "abstract-lock acquire + release traffic")                 \
+  /* --- message counts (paper Fig. 8 categories) --- */                      \
+  /* One multicast to a quorum of size q counts as q messages, matching the  \
+     paper's JGroups accounting. */                                          \
+  X(read_messages, "read request messages")                                   \
+  X(commit_messages, "commit (2PC) messages")
+// clang-format on
+
 namespace qrdtm::core {
 
 struct Metrics {
-  // --- outcomes ---
-  std::uint64_t commits = 0;        // root transactions committed
-  std::uint64_t root_aborts = 0;    // full aborts (root restarted)
-  std::uint64_t ct_aborts = 0;      // QR-CN: closed-nested scope retries
-  std::uint64_t partial_rollbacks = 0;  // QR-CHK: rollbacks to a checkpoint
-  std::uint64_t local_commits = 0;  // commits that needed no 2PC (Rqv)
+#define QRDTM_METRIC_FIELD(name, help) std::uint64_t name = 0;
+  QRDTM_METRICS(QRDTM_METRIC_FIELD)
+#undef QRDTM_METRIC_FIELD
 
-  // --- mechanism counters ---
-  std::uint64_t remote_reads = 0;      // read requests issued (per quorum op)
-  std::uint64_t local_read_hits = 0;   // served from own/ancestor data-set
-  std::uint64_t commit_requests = 0;   // 2PC rounds started
-  std::uint64_t validation_failures = 0;  // Rqv abort replies received
-  std::uint64_t vote_aborts = 0;          // 2PC rounds that lost a vote
-  std::uint64_t checkpoints_created = 0;  // QR-CHK
-  std::uint64_t step_guard_trips = 0;     // zombie executions cut short
-
-  // --- QR-Q (queued speculative batching) ---
-  std::uint64_t batches_committed = 0;     // batch 2PC rounds that committed
-  std::uint64_t speculation_rollbacks = 0; // batch rounds aborted + re-run
-  std::uint64_t batch_read_hits = 0;       // reads served from the batch cache
-
-  // --- QR-ON (open nesting extension) ---
-  // --- recovery (churn experiments) ---
-  std::uint64_t node_recoveries = 0;  // replicas that completed catch-up
-  /// Objects shipped over the wire by delta-bounded catch-up pulls (the
-  /// rejoining node sent post-log-replay version bounds, servers returned
-  /// only strictly-newer copies).  Compare against recovery_full_objects:
-  /// delta recovery is the point of the commit log, and the test suite
-  /// asserts delta << full on the same workload.
-  std::uint64_t recovery_delta_objects = 0;
-  /// Objects shipped by legacy full-store pulls (no bounds: durable
-  /// logging off, or the local log was unusable).
-  std::uint64_t recovery_full_objects = 0;
-  std::uint64_t log_replay_applies = 0;  // apply ops replayed from local logs
-  std::uint64_t checkpoint_cuts = 0;     // commit-log cuts taken cluster-wide
-  /// Recovery attempts that exhausted every delta-pull round without
-  /// gathering a full read quorum.  The node stays syncing and a re-attempt
-  /// is scheduled; a nonzero count under churn is expected, a *growing*
-  /// count with no matching node_recoveries means a wedged replica.
-  std::uint64_t recovery_failures = 0;
-  std::uint64_t log_autocuts = 0;  // checkpoint cuts forced by max_tail_bytes
-
-  // --- cooperative 2PC termination (DESIGN.md §17) ---
-  /// In-doubt prepares resolved to commit by a termination round (a peer or
-  /// the coordinator supplied the decision, or an applied copy proved it).
-  std::uint64_t indoubt_resolved_commit = 0;
-  /// In-doubt prepares resolved to abort: an authoritative abort answer, or
-  /// presumed-abort after a full round of "no decision + coordinator
-  /// restarted into a newer liveness epoch".
-  std::uint64_t indoubt_resolved_abort = 0;
-  /// TxnStatusRequest rounds issued (each round multicasts one query to the
-  /// coordinator and the write-quorum peers, then waits out a backoff).
-  std::uint64_t termination_rounds = 0;
-  /// Confirms dropped as duplicates by the (txn, epoch) applied-set --
-  /// at-least-once retransmission from recovered coordinators and resolving
-  /// peers makes these routine, never double-applied.
-  std::uint64_t confirm_duplicates = 0;
-
-  // --- sharded cohorts ---
-  /// 2PC vote rounds whose read+write set spanned more than one quorum
-  /// cohort (the multicast covered several cohorts' write quorums).
-  std::uint64_t cross_shard_rounds = 0;
-
-  std::uint64_t open_commits = 0;        // open-nested bodies committed
-  std::uint64_t compensations_run = 0;   // undone after a root abort
-  std::uint64_t lock_conflicts = 0;      // abstract-lock acquisition retries
-  std::uint64_t lock_messages = 0;       // acquire + release traffic
-
-  // --- message counts (paper Fig. 8 categories) ---
-  // One multicast to a quorum of size q counts as q messages, matching the
-  // paper's JGroups accounting.
-  std::uint64_t read_messages = 0;
-  std::uint64_t commit_messages = 0;
+  /// Calls f(name, help, value) once per counter, in declaration order.
+  template <class F>
+  void for_each(F&& f) const {
+#define QRDTM_METRIC_VISIT(name, help) f(#name, help, name);
+    QRDTM_METRICS(QRDTM_METRIC_VISIT)
+#undef QRDTM_METRIC_VISIT
+  }
 
   /// Every event that discarded work and restarted it.  QR-Q's unit of
   /// abort is a batch 2PC round (one speculation_rollback discards the
@@ -111,6 +126,15 @@ struct Metrics {
     return commits ? static_cast<double>(total_aborts()) /
                          static_cast<double>(commits)
                    : std::numeric_limits<double>::quiet_NaN();
+  }
+
+  /// Messages per commit (normalising message counts across modes whose
+  /// runs commit different transaction counts in the same duration); 0 with
+  /// no commits.
+  double messages_per_commit() const {
+    return commits ? static_cast<double>(total_messages()) /
+                         static_cast<double>(commits)
+                   : 0.0;
   }
 };
 

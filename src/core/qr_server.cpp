@@ -22,7 +22,8 @@ net::NodeId coordinator_of(TxnId txn, std::uint32_t num_nodes) {
 
 }  // namespace
 
-QrServer::QrServer(net::RpcEndpoint& rpc) : rpc_(rpc), id_(rpc.id()) {
+QrServer::QrServer(net::RpcEndpoint& rpc, Metrics& metrics)
+    : rpc_(rpc), id_(rpc.id()), metrics_(metrics) {
   // Distinct deterministic jitter stream per replica for the termination
   // backoff (independent of the workload's Rng draws).
   term_rng_ = Rng(0x7e39a1c5u + static_cast<std::uint64_t>(id_) * 0x9e37u);
@@ -142,11 +143,8 @@ void QrServer::maybe_autocut() {
   if (max_tail_bytes_ == 0 || !durable_log_) return;
   if (log_.tail_bytes() < max_tail_bytes_) return;
   cut_checkpoint();
-  ++log_autocuts_;
-  if (metrics_ != nullptr) {
-    ++metrics_->log_autocuts;
-    ++metrics_->checkpoint_cuts;
-  }
+  ++metrics_.log_autocuts;
+  ++metrics_.checkpoint_cuts;
 }
 
 SyncPullResponse QrServer::handle_sync_pull(net::NodeId from,
@@ -192,7 +190,7 @@ bool QrServer::check_protected(ObjectId id, TxnId txn) {
       // The protector's confirm is overdue by the whole lease and the vote
       // was never made durable here: shedding cannot lose an acknowledged
       // commit, so free the object for later writers.
-      ++lease_breaks_;
+      ++metrics_.lease_breaks;
       return false;
     }
     // A *prepared* protection (durable yes-vote) may back an acknowledged
@@ -240,7 +238,6 @@ std::optional<ReadResponse> QrServer::validate(const ReadRequest& req) {
   }
 
   if (!any_invalid) return std::nullopt;
-  ++validation_failures_;
 
   ReadResponse resp;
   resp.status = ReadStatus::kAbort;
@@ -293,7 +290,6 @@ ReadResponse QrServer::handle_read(const ReadRequest& req) {
     } else if (req.mode == NestingMode::kCheckpoint) {
       abort.abort_chk = std::numeric_limits<ChkEpoch>::max();
     }
-    ++validation_failures_;
     return abort;
   }
 
@@ -433,8 +429,7 @@ bool QrServer::confirm_is_duplicate(TxnId txn) {
   if (it == outcomes_.end() || it->second.first != liveness_epoch()) {
     return false;
   }
-  ++confirm_duplicates_;
-  if (metrics_ != nullptr) ++metrics_->confirm_duplicates;
+  ++metrics_.confirm_duplicates;
   return true;
 }
 
@@ -507,7 +502,7 @@ sim::Task<void> QrServer::termination_task(TxnId txn) {
       Termination& t = it->second;
       t.round_no_decision.clear();
       t.coord_no_decision_newer = false;
-      if (metrics_ != nullptr) ++metrics_->termination_rounds;
+      ++metrics_.termination_rounds;
       fault(fp::kTermQuery);
       TxnStatusRequest req{txn};
       for (net::NodeId n : t.targets) {
@@ -611,12 +606,10 @@ void QrServer::resolve_indoubt(TxnId txn, bool commit) {
     store_.unprotect(lw.id, txn);
     if (commit && !replayed) store_.apply(lw.id, lw.base + lw.steps, lw.data);
   }
-  if (metrics_ != nullptr) {
-    if (commit) {
-      ++metrics_->indoubt_resolved_commit;
-    } else {
-      ++metrics_->indoubt_resolved_abort;
-    }
+  if (commit) {
+    ++metrics_.indoubt_resolved_commit;
+  } else {
+    ++metrics_.indoubt_resolved_abort;
   }
 
   // Retransmit the confirm to the queried peers before forgetting the
@@ -653,7 +646,7 @@ void QrServer::send_confirm(const std::vector<net::NodeId>& to,
     copy.assign(payload.begin(), payload.end());
     rpc_.notify(n, kind, std::move(copy));
   }
-  if (metrics_ != nullptr) metrics_->commit_messages += to.size();
+  metrics_.commit_messages += to.size();
 }
 
 void QrServer::terminate_replayed_prepares() {

@@ -43,7 +43,7 @@ const Txn& Txn::root() const {
 Txn::OpToken Txn::begin_op() {
   Txn& r = root();
   const std::uint64_t idx = r.op_seq_++;
-  if (++r.ops_this_attempt_ > rt_.config().max_ops_per_attempt) {
+  if (++r.ops_this_attempt_ > kMaxOpsPerAttempt) {
     ++rt_.metrics().step_guard_trips;
     throw AbortException{AbortTarget::kRoot, r.scope_id_, 0, "step guard"};
   }
@@ -488,12 +488,6 @@ void Txn::merge_into_parent() {
   }
 }
 
-void Txn::reset_scope() {
-  readset_.clear();
-  writeset_.clear();
-  dataset_truncate(dataset_mark_);
-}
-
 void Txn::reset_full() {
   QRDTM_CHECK(parent_ == nullptr);
   QRDTM_CHECK_MSG(open_log_.empty() && held_locks_.empty(),
@@ -769,7 +763,7 @@ sim::Task<void> TxnRuntime::acquire_abstract_lock(Txn& root,
       }
     }
     ++metrics_.lock_conflicts;
-    if (attempt + 1 >= config_.max_lock_attempts) {
+    if (attempt + 1 >= kMaxLockAttempts) {
       // Could not get the lock: break the (potential) cross-root cycle by
       // aborting this root, which compensates and releases what it holds.
       throw AbortException{AbortTarget::kRoot, root.scope_id_, 0,
@@ -990,8 +984,8 @@ sim::Task<RoundVotes> TxnRuntime::two_phase_commit(Request req) {
 template sim::Task<RoundVotes> TxnRuntime::two_phase_commit(BatchCommitRequest);
 
 sim::Task<void> TxnRuntime::backoff(std::uint32_t attempt, TxnId txn) {
-  const sim::Tick wait = draw_backoff_wait(config_.backoff_base,
-                                           config_.backoff_cap, attempt, rng_);
+  const sim::Tick wait =
+      draw_backoff_wait(kBackoffBase, kBackoffCap, attempt, rng_);
   latency_.backoff_wait.record(wait);
   if (wait > 0) {
     const sim::Tick start = simulator().now();

@@ -52,12 +52,17 @@ namespace qrdtm::core {
 class HistoryRecorder;
 struct CommittedTxn;
 
+/// Zombie-execution guard: a single attempt performing more operations than
+/// this aborts (flat QR can read inconsistent snapshots and chase stale
+/// pointers; see DESIGN.md).
+inline constexpr std::uint32_t kMaxOpsPerAttempt = 100000;
+/// QR-ON: abstract-lock acquisition attempts before the root aborts (and
+/// compensates) to break potential cross-root lock-order cycles.
+inline constexpr std::uint32_t kMaxLockAttempts = 8;
+
 struct RuntimeConfig {
   NestingMode mode = NestingMode::kFlat;
   sim::Tick rpc_timeout = sim::msec(500);
-  /// Randomised exponential backoff applied on full (root) aborts.
-  sim::Tick backoff_base = sim::msec(1);
-  sim::Tick backoff_cap = sim::msec(32);
   /// Pause before retrying an aborted closed-nested scope.  A conflicting
   /// committer holds its write-set protected for roughly one commit round
   /// trip; retrying sooner just burns read rounds against its protection.
@@ -95,13 +100,6 @@ struct RuntimeConfig {
   /// paper's reported band (~16 % below flat nesting).
   /// bench/ablation_chk_costs sweeps both knobs to show the crossover.
   sim::Tick chk_restore_cost = sim::msec(200);
-  /// Zombie-execution guard: a single attempt performing more operations
-  /// than this aborts (flat QR can read inconsistent snapshots and chase
-  /// stale pointers; see DESIGN.md).
-  std::uint32_t max_ops_per_attempt = 100000;
-  /// QR-ON: abstract-lock acquisition attempts before the root aborts (and
-  /// compensates) to break potential cross-root lock-order cycles.
-  std::uint32_t max_lock_attempts = 8;
   /// QR-Q (kQueued): batch formation window -- how long the planner waits
   /// after the first enqueue for concurrent submitters on the node to join
   /// the batch.  Roughly one quorum round trip amortizes best: the batch
@@ -299,7 +297,6 @@ class Txn {
   void log_op(const OpToken& token, Bytes data, ObjectId created);
 
   void merge_into_parent();
-  void reset_scope();       // discard this scope's sets (CT retry)
   void reset_full();        // root: discard everything (full abort)
   void rollback_to(ChkEpoch epoch);  // QR-CHK partial rollback
 
@@ -379,7 +376,6 @@ class TxnRuntime {
   /// with simulator ticks.  nullptr = tracing off: every site is a single
   /// pointer test and the simulated schedule is bit-identical.
   void set_trace_recorder(TraceRecorder* tracer) { tracer_ = tracer; }
-  TraceRecorder* trace_recorder() { return tracer_; }
 
   /// Attach the fault-point registry so tests can steer the coordinator
   /// (e.g. suspend between gathering votes and sending the confirm --
@@ -411,7 +407,6 @@ class TxnRuntime {
   /// (standalone rigs, durable logging off) = the pre-decision-record
   /// behaviour: confirms go out with no recovery re-drive.
   void set_local_log(store::CommitLog* log) { local_log_ = log; }
-  store::CommitLog* local_log() { return local_log_; }
 
  private:
   friend class Txn;

@@ -90,35 +90,35 @@ TEST_P(DeterminismGolden, MatchesGoldenAndRepeats) {
               : g.mode == core::NestingMode::kClosed     ? "kClosed"
               : g.mode == core::NestingMode::kCheckpoint ? "kCheckpoint"
                                                          : "kQueued",
-              static_cast<unsigned long long>(a.commits),
-              static_cast<unsigned long long>(a.root_aborts),
-              static_cast<unsigned long long>(a.ct_aborts),
-              static_cast<unsigned long long>(a.partial_rollbacks),
-              static_cast<unsigned long long>(a.read_messages),
-              static_cast<unsigned long long>(a.commit_messages),
-              static_cast<unsigned long long>(a.speculation_rollbacks),
-              static_cast<unsigned long long>(a.batches));
+              static_cast<unsigned long long>(a.metrics.commits),
+              static_cast<unsigned long long>(a.metrics.root_aborts),
+              static_cast<unsigned long long>(a.metrics.ct_aborts),
+              static_cast<unsigned long long>(a.metrics.partial_rollbacks),
+              static_cast<unsigned long long>(a.metrics.read_messages),
+              static_cast<unsigned long long>(a.metrics.commit_messages),
+              static_cast<unsigned long long>(a.metrics.speculation_rollbacks),
+              static_cast<unsigned long long>(a.metrics.batches_committed));
 
   // Same seed => identical counts across two runs in this build.
-  EXPECT_EQ(a.commits, b.commits);
-  EXPECT_EQ(a.root_aborts, b.root_aborts);
-  EXPECT_EQ(a.ct_aborts, b.ct_aborts);
-  EXPECT_EQ(a.partial_rollbacks, b.partial_rollbacks);
-  EXPECT_EQ(a.read_messages, b.read_messages);
-  EXPECT_EQ(a.commit_messages, b.commit_messages);
-  EXPECT_EQ(a.speculation_rollbacks, b.speculation_rollbacks);
-  EXPECT_EQ(a.batches, b.batches);
+  EXPECT_EQ(a.metrics.commits, b.metrics.commits);
+  EXPECT_EQ(a.metrics.root_aborts, b.metrics.root_aborts);
+  EXPECT_EQ(a.metrics.ct_aborts, b.metrics.ct_aborts);
+  EXPECT_EQ(a.metrics.partial_rollbacks, b.metrics.partial_rollbacks);
+  EXPECT_EQ(a.metrics.read_messages, b.metrics.read_messages);
+  EXPECT_EQ(a.metrics.commit_messages, b.metrics.commit_messages);
+  EXPECT_EQ(a.metrics.speculation_rollbacks, b.metrics.speculation_rollbacks);
+  EXPECT_EQ(a.metrics.batches_committed, b.metrics.batches_committed);
   EXPECT_TRUE(a.invariants_ok);
 
   // ... and identical to the checked-in pre-refactor kernel.
-  EXPECT_EQ(a.commits, g.commits);
-  EXPECT_EQ(a.root_aborts, g.root_aborts);
-  EXPECT_EQ(a.ct_aborts, g.ct_aborts);
-  EXPECT_EQ(a.partial_rollbacks, g.partial_rollbacks);
-  EXPECT_EQ(a.read_messages, g.read_messages);
-  EXPECT_EQ(a.commit_messages, g.commit_messages);
-  EXPECT_EQ(a.speculation_rollbacks, g.speculation_rollbacks);
-  EXPECT_EQ(a.batches, g.batches);
+  EXPECT_EQ(a.metrics.commits, g.commits);
+  EXPECT_EQ(a.metrics.root_aborts, g.root_aborts);
+  EXPECT_EQ(a.metrics.ct_aborts, g.ct_aborts);
+  EXPECT_EQ(a.metrics.partial_rollbacks, g.partial_rollbacks);
+  EXPECT_EQ(a.metrics.read_messages, g.read_messages);
+  EXPECT_EQ(a.metrics.commit_messages, g.commit_messages);
+  EXPECT_EQ(a.metrics.speculation_rollbacks, g.speculation_rollbacks);
+  EXPECT_EQ(a.metrics.batches_committed, g.batches);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, DeterminismGolden,

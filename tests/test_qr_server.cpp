@@ -16,6 +16,7 @@ namespace {
 
 struct Rig {
   sim::Simulator sim;
+  Metrics metrics;
   std::unique_ptr<net::Network> net;
   std::unique_ptr<net::RpcEndpoint> client_ep;
   std::unique_ptr<net::RpcEndpoint> server_ep;
@@ -27,7 +28,7 @@ struct Rig {
         sim::usec(10));
     client_ep = std::make_unique<net::RpcEndpoint>(sim, *net);
     server_ep = std::make_unique<net::RpcEndpoint>(sim, *net);
-    server = std::make_unique<QrServer>(*server_ep);
+    server = std::make_unique<QrServer>(*server_ep, metrics);
   }
 
   store::ReplicaStore& store() { return server->store(); }

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -161,11 +163,39 @@ TEST(MetricsAbortRate, ZeroCommitsIsNaN) {
 
 TEST(MetricsAbortRate, ExperimentResultZeroCommitsIsNaN) {
   bench::ExperimentResult r;
-  r.root_aborts = 4;
-  EXPECT_TRUE(std::isnan(r.abort_rate()));
-  EXPECT_NE(bench::fmt(r.abort_rate(), 8, 2).find("n/a"), std::string::npos);
-  r.commits = 8;
-  EXPECT_DOUBLE_EQ(r.abort_rate(), 0.5);
+  r.metrics.root_aborts = 4;
+  EXPECT_TRUE(std::isnan(r.metrics.abort_rate()));
+  EXPECT_NE(bench::fmt(r.metrics.abort_rate(), 8, 2).find("n/a"),
+            std::string::npos);
+  r.metrics.commits = 8;
+  EXPECT_DOUBLE_EQ(r.metrics.abort_rate(), 0.5);
+}
+
+// ---------------------------------------------------------------------------
+// The counter list: Metrics::for_each is what every exporter walks, so it
+// must reach every field exactly once under the field's own name.
+
+TEST(Metrics, ForEachVisitsEveryCounterOnce) {
+  Metrics m;
+  m.commits = 11;
+  m.lease_breaks = 22;
+  m.commit_messages = 33;
+  std::set<std::string> names;
+  std::map<std::string, std::uint64_t> values;
+  std::size_t visits = 0;
+  m.for_each([&](const char* name, const char* help, std::uint64_t v) {
+    ++visits;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate counter " << name;
+    EXPECT_GT(std::string(help).size(), 0u) << name << " has no help text";
+    values[name] = v;
+  });
+  // Every field is a std::uint64_t counter, so the visit count covers the
+  // struct exactly when it accounts for every byte.
+  EXPECT_EQ(visits * sizeof(std::uint64_t), sizeof(Metrics));
+  EXPECT_EQ(values["commits"], 11u);
+  EXPECT_EQ(values["lease_breaks"], 22u);
+  EXPECT_EQ(values["commit_messages"], 33u);
+  EXPECT_EQ(values["root_aborts"], 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -246,10 +276,10 @@ TEST(TraceDeterminism, SameSeedSameHistograms) {
   bench::ExperimentConfig cfg = small_config();
   bench::ExperimentResult a = bench::run_experiment(cfg);
   bench::ExperimentResult b = bench::run_experiment(cfg);
-  ASSERT_GT(a.commits, 0u);
-  EXPECT_EQ(a.commits, b.commits);
+  ASSERT_GT(a.metrics.commits, 0u);
+  EXPECT_EQ(a.metrics.commits, b.metrics.commits);
   EXPECT_TRUE(a.latency == b.latency);
-  EXPECT_EQ(a.latency.commit_latency.count(), a.commits);
+  EXPECT_EQ(a.latency.commit_latency.count(), a.metrics.commits);
   EXPECT_GT(a.latency.read_rtt.count(), 0u);
 }
 
@@ -263,10 +293,10 @@ TEST(TraceDeterminism, TracingOnDoesNotPerturbTheRun) {
 
   // Identical outcomes and identical latency distributions: the recorder
   // only observes.
-  EXPECT_EQ(on.commits, off.commits);
-  EXPECT_EQ(on.root_aborts, off.root_aborts);
-  EXPECT_EQ(on.read_messages, off.read_messages);
-  EXPECT_EQ(on.commit_messages, off.commit_messages);
+  EXPECT_EQ(on.metrics.commits, off.metrics.commits);
+  EXPECT_EQ(on.metrics.root_aborts, off.metrics.root_aborts);
+  EXPECT_EQ(on.metrics.read_messages, off.metrics.read_messages);
+  EXPECT_EQ(on.metrics.commit_messages, off.metrics.commit_messages);
   EXPECT_TRUE(on.latency == off.latency);
 
   // And the trace itself is substantive: at least one kTxn span per commit
@@ -279,7 +309,7 @@ TEST(TraceDeterminism, TracingOnDoesNotPerturbTheRun) {
     EXPECT_LE(s.start, s.end);
     if (s.kind == TraceKind::kTxn) ++txn_spans;
   }
-  EXPECT_GE(txn_spans, on.commits);
+  EXPECT_GE(txn_spans, on.metrics.commits);
   EXPECT_FALSE(rec.instants().empty());
 }
 

@@ -45,9 +45,10 @@ void usage() {
       "  --client-nodes N  co-locate clients on the first N nodes\n"
       "                    (default 0 = spread round-robin over all nodes)\n"
       "  --bench-json PATH write machine-readable perf results (JSON)\n"
-      "  --metrics-json PATH write per-node + aggregate latency histograms\n"
-      "                    (p50/p90/p99 of commit latency, read RTT,\n"
-      "                    backoff waits, retry gaps) as JSON\n"
+      "  --metrics-json PATH write every counter plus per-node + aggregate\n"
+      "                    latency histograms (p50/p90/p99 of commit\n"
+      "                    latency, read RTT, backoff waits, retry gaps,\n"
+      "                    batch waits and sizes) as JSON\n"
       "  --trace-json PATH record a full qrdtm-trace and write it in Chrome\n"
       "                    trace-event format (open at ui.perfetto.dev)\n");
 }
@@ -174,8 +175,9 @@ bool write_bench_json(const std::string& path, const ExperimentConfig& cfg,
                sim::to_seconds(cfg.duration), r.wall_seconds,
                static_cast<unsigned long long>(r.events_executed),
                r.events_per_sec(),
-               static_cast<unsigned long long>(r.commits), r.throughput,
-               static_cast<unsigned long long>(r.total_messages()),
+               static_cast<unsigned long long>(r.metrics.commits),
+               r.throughput,
+               static_cast<unsigned long long>(r.metrics.total_messages()),
                r.invariants_ok ? "true" : "false");
   std::fclose(f);
   return true;
@@ -225,23 +227,21 @@ void write_latency_json(std::FILE* f, const core::LatencyMetrics& m,
   write_count_histogram_json(f, "batch_size", m.batch_size, indent, true);
 }
 
-/// Latency snapshot: aggregate (cluster-merged) and per-node histograms for
-/// the four tracked distributions, percentiles in milliseconds.
+/// Metrics snapshot: every counter at the deadline, then aggregate
+/// (cluster-merged) and per-node histograms for the six tracked
+/// distributions, time percentiles in milliseconds.
 bool write_metrics_json(const std::string& path, const ExperimentResult& r) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
     return false;
   }
-  std::fprintf(f,
-               "{\n  \"protocol\": \"qr\",\n"
-               "  \"batches_committed\": %llu,\n"
-               "  \"speculation_rollbacks\": %llu,\n"
-               "  \"batch_read_hits\": %llu,\n"
-               "  \"aggregate\": {\n",
-               static_cast<unsigned long long>(r.batches),
-               static_cast<unsigned long long>(r.speculation_rollbacks),
-               static_cast<unsigned long long>(r.batch_read_hits));
+  std::fprintf(f, "{\n  \"protocol\": \"qr\",\n");
+  r.metrics.for_each([f](const char* name, const char*, std::uint64_t v) {
+    std::fprintf(f, "  \"%s\": %llu,\n", name,
+                 static_cast<unsigned long long>(v));
+  });
+  std::fprintf(f, "  \"aggregate\": {\n");
   write_latency_json(f, r.latency, "    ");
   std::fprintf(f, "  },\n  \"nodes\": [\n");
   for (std::size_t n = 0; n < r.node_latency.size(); ++n) {
@@ -279,47 +279,31 @@ int main(int argc, char** argv) {
 
   ExperimentResult r = run_experiment(cfg);
 
-  std::printf("throughput        %10.2f txn/s\n", r.throughput);
-  std::printf("commits           %10llu\n",
-              static_cast<unsigned long long>(r.commits));
-  std::printf("root aborts       %10llu\n",
-              static_cast<unsigned long long>(r.root_aborts));
-  std::printf("ct retries        %10llu\n",
-              static_cast<unsigned long long>(r.ct_aborts));
-  std::printf("partial rollbacks %10llu\n",
-              static_cast<unsigned long long>(r.partial_rollbacks));
-  std::printf("checkpoints       %10llu\n",
-              static_cast<unsigned long long>(r.checkpoints));
-  std::printf("vote aborts       %10llu\n",
-              static_cast<unsigned long long>(r.vote_aborts));
-  std::printf("batches committed %10llu\n",
-              static_cast<unsigned long long>(r.batches));
-  std::printf("spec. rollbacks   %10llu\n",
-              static_cast<unsigned long long>(r.speculation_rollbacks));
-  std::printf("batch read hits   %10llu\n",
-              static_cast<unsigned long long>(r.batch_read_hits));
-  std::printf("rqv failures      %10llu\n",
-              static_cast<unsigned long long>(r.validation_failures));
-  std::printf("read messages     %10llu\n",
-              static_cast<unsigned long long>(r.read_messages));
-  std::printf("commit messages   %10llu\n",
-              static_cast<unsigned long long>(r.commit_messages));
+  std::printf("throughput               %10.2f txn/s\n", r.throughput);
+  // Every counter at the deadline, with its one-line description.
+  r.metrics.for_each([](const char* name, const char* help, std::uint64_t v) {
+    std::printf("%-24s %10llu  %s\n", name,
+                static_cast<unsigned long long>(v), help);
+  });
   // With zero commits the abort ratio is undefined (NaN): print "n/a".
-  std::printf("aborts/commit     %10s\n", fmt(r.abort_rate(), 10, 2).c_str());
-  std::printf("commit p50        %10.1f ms\n",
+  std::printf("aborts/commit            %10s\n",
+              fmt(r.metrics.abort_rate(), 10, 2).c_str());
+  std::printf("commit p50               %10.1f ms\n",
               sim::to_seconds(r.latency.commit_latency.percentile(50)) * 1e3);
-  std::printf("commit p99        %10.1f ms\n",
+  std::printf("commit p99               %10.1f ms\n",
               sim::to_seconds(r.latency.commit_latency.percentile(99)) * 1e3);
-  std::printf("read rtt p50      %10.1f ms\n",
+  std::printf("read rtt p50             %10.1f ms\n",
               sim::to_seconds(r.latency.read_rtt.percentile(50)) * 1e3);
-  std::printf("read rtt p99      %10.1f ms\n",
+  std::printf("read rtt p99             %10.1f ms\n",
               sim::to_seconds(r.latency.read_rtt.percentile(99)) * 1e3);
-  std::printf("msgs/commit       %10.1f\n", r.messages_per_commit());
-  std::printf("invariants        %10s\n", r.invariants_ok ? "OK" : "VIOLATED");
-  std::printf("wall clock        %10.3f s\n", r.wall_seconds);
-  std::printf("events executed   %10llu\n",
+  std::printf("msgs/commit              %10.1f\n",
+              r.metrics.messages_per_commit());
+  std::printf("invariants               %10s\n",
+              r.invariants_ok ? "OK" : "VIOLATED");
+  std::printf("wall clock               %10.3f s\n", r.wall_seconds);
+  std::printf("events executed          %10llu\n",
               static_cast<unsigned long long>(r.events_executed));
-  std::printf("events/sec        %10.0f\n", r.events_per_sec());
+  std::printf("events/sec               %10.0f\n", r.events_per_sec());
 
   if (!bench_json.empty() && !write_bench_json(bench_json, cfg, r)) {
     return 2;
