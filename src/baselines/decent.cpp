@@ -4,9 +4,6 @@
 
 #include "common/check.h"
 #include "common/serde.h"
-#include "core/backoff.h"
-#include "core/history.h"
-#include "net/latency.h"
 
 namespace qrdtm::baselines {
 
@@ -29,11 +26,9 @@ constexpr net::MsgKind kDecentApply = 0x0303;  // one-way
 /// break the history's timestamp order.
 class DecentNode {
  public:
-  DecentNode(net::RpcEndpoint& rpc, std::uint32_t history_depth,
-             sim::Tick lock_lease)
-      : history_depth_(history_depth),
-        sim_(rpc.simulator()),
-        lock_lease_(lock_lease) {
+  DecentNode(net::RpcEndpoint& rpc, sim::Tick lock_lease,
+             core::Metrics& metrics)
+      : sim_(rpc.simulator()), lock_lease_(lock_lease), metrics_(metrics) {
     rpc.register_service(kDecentRead, [this](net::NodeId, const Bytes& b) {
       return handle_read(b);
     });
@@ -55,25 +50,14 @@ class DecentNode {
 
   bool locked(ObjectId id) const {
     auto it = objects_.find(id);
-    return it != objects_.end() && it->second.locked_by != 0;
+    return it != objects_.end() && it->second.lock.held();
   }
-  std::uint64_t lease_breaks() const { return lease_breaks_; }
-  std::uint64_t stale_applies() const { return stale_applies_; }
 
  private:
   struct Entry {
     std::vector<std::pair<Version, Bytes>> versions;  // ascending by ts
-    TxnId locked_by = 0;
-    sim::Tick locked_at = 0;
+    LeasedLock lock;
   };
-
-  /// Shed a lock whose holder's apply is overdue by the whole lease.
-  void shed_stale_lock(Entry& e) {
-    if (lock_lease_ == 0 || e.locked_by == 0) return;
-    if (sim_.now() < e.locked_at + lock_lease_) return;
-    e.locked_by = 0;
-    ++lease_breaks_;
-  }
 
   std::optional<Bytes> handle_read(const Bytes& b) {
     Reader r(b);
@@ -115,15 +99,12 @@ class DecentNode {
     ObjectId id = r.u64();
     Version base = r.u64();
     Entry& e = objects_[id];
-    shed_stale_lock(e);
+    e.lock.shed_if_overdue(sim_.now(), lock_lease_, metrics_);
     const Version newest = e.versions.empty() ? 0 : e.versions.back().first;
     // First-committer-wins: a newer committed version (or a competing lock)
     // kills the update.
-    bool ok = newest <= base && (e.locked_by == 0 || e.locked_by == txn);
-    if (ok) {
-      e.locked_by = txn;
-      e.locked_at = sim_.now();
-    }
+    const bool ok = newest <= base && e.lock.admits(txn);
+    if (ok) e.lock.grant(txn, sim_.now());
     Writer w;
     w.boolean(ok);
     return std::move(w).take();
@@ -139,28 +120,23 @@ class DecentNode {
     auto it = objects_.find(id);
     if (it == objects_.end()) return;
     Entry& e = it->second;
-    if (commit && e.locked_by != txn) {
-      // The lease shed this writer's lock (and possibly granted it to a
-      // successor): appending its version now could land behind a newer
-      // timestamp and corrupt the history's ordering invariant.
-      ++stale_applies_;
-      return;
-    }
-    if (e.locked_by == txn) e.locked_by = 0;
+    // The lease shed this writer's lock (and possibly granted it to a
+    // successor): appending its version now could land behind a newer
+    // timestamp and corrupt the history's ordering invariant.
+    if (commit && e.lock.locked_by != txn) return;
+    e.lock.release(txn);
     if (commit) {
       e.versions.emplace_back(ts, std::move(data));
       clock_ = std::max<Version>(clock_, ts);
-      if (e.versions.size() > history_depth_) {
+      if (e.versions.size() > DecentCluster::kHistoryDepth) {
         e.versions.erase(e.versions.begin());
       }
     }
   }
 
-  std::uint32_t history_depth_;
   sim::Simulator& sim_;
   sim::Tick lock_lease_;
-  std::uint64_t lease_breaks_ = 0;
-  std::uint64_t stale_applies_ = 0;
+  core::Metrics& metrics_;
   Version clock_ = 0;  // newest commit timestamp applied here
   std::map<ObjectId, Entry> objects_;
 };
@@ -187,7 +163,7 @@ sim::Task<Bytes> DecentTxn::read_version(ObjectId id, std::uint64_t snapshot,
   const auto replicas = c.replicas_of(id);
   c.metrics_.read_messages += replicas.size();
   auto futures = c.endpoints_[node_]->multicast(
-      replicas, kDecentRead, w.bytes(), c.cfg_.rpc_timeout);
+      replicas, kDecentRead, w.bytes(), kRpcTimeout);
   bool found = false;
   Version ts = 0;
   Bytes data;
@@ -210,7 +186,7 @@ sim::Task<Bytes> DecentTxn::read_version(ObjectId id, std::uint64_t snapshot,
   if (!found) {
     // No live replica's history covers the snapshot point.
     ++c.metrics_.validation_failures;
-    throw DecentAbort{"snapshot too old for history"};
+    throw BaselineAbort{"snapshot too old for history"};
   }
   // Snapshot-merge bookkeeping (see DecentConfig::snapshot_compute).
   if (c.cfg_.snapshot_compute > 0) {
@@ -250,17 +226,12 @@ void DecentTxn::write(ObjectId id, Bytes data) {
 
 // --------------------------------------------------------- DecentCluster
 
-DecentCluster::DecentCluster(DecentConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
-  QRDTM_CHECK(cfg_.replication >= 1 && cfg_.replication <= cfg_.num_nodes);
-  net_ = std::make_unique<net::Network>(
-      sim_,
-      std::make_unique<net::UniformLatency>(cfg_.link_latency,
-                                            cfg_.link_jitter),
-      rng_.next(), cfg_.service_time);
-  for (std::uint32_t i = 0; i < cfg_.num_nodes; ++i) {
-    endpoints_.push_back(std::make_unique<net::RpcEndpoint>(sim_, *net_));
-    nodes_.push_back(std::make_unique<DecentNode>(
-        *endpoints_.back(), cfg_.history_depth, cfg_.lock_lease));
+DecentCluster::DecentCluster(DecentConfig cfg)
+    : BaselineCluster(cfg, kLinkLatency, kLinkJitter) {
+  QRDTM_CHECK(kReplication <= cfg_.num_nodes);
+  for (const auto& rpc : endpoints_) {
+    nodes_.push_back(
+        std::make_unique<DecentNode>(*rpc, cfg_.lock_lease, metrics_));
   }
 }
 
@@ -273,62 +244,22 @@ bool DecentCluster::object_locked(ObjectId id) const {
   return false;
 }
 
-std::uint64_t DecentCluster::lock_lease_breaks() const {
-  std::uint64_t total = 0;
-  for (const auto& n : nodes_) total += n->lease_breaks();
-  return total;
-}
-
 std::vector<net::NodeId> DecentCluster::replicas_of(ObjectId id) const {
   std::vector<net::NodeId> out;
   std::uint64_t h = id * 0x9e3779b97f4a7c15ULL;
   const net::NodeId first =
       static_cast<net::NodeId>((h >> 32) % cfg_.num_nodes);
-  for (std::uint32_t i = 0; i < cfg_.replication; ++i) {
+  for (std::uint32_t i = 0; i < kReplication; ++i) {
     out.push_back((first + i) % cfg_.num_nodes);
   }
   return out;
 }
 
-ObjectId DecentCluster::seed_new_object(const Bytes& data) {
-  ObjectId id = next_object_id_++;
-  for (net::NodeId n : replicas_of(id)) {
-    nodes_[n]->seed(id, data);
-  }
-  if (recorder_ != nullptr) recorder_->record_seed(id, 1, data);
-  return id;
-}
-
-void DecentCluster::record_commit_history(const DecentTxn& txn,
-                                          Version install_ts) {
-  core::CommittedTxn rec;
-  rec.txn = txn.id_;
-  rec.node = txn.node_;
-  rec.commit_tick = sim_.now();
-  rec.snapshot = txn.snapshot_;
-  for (const auto& [id, entry] : txn.readset_) {
-    // A written object's read_for_write fetched the *newest* version (it may
-    // exceed the pinned snapshot); its base is recorded with the write, so
-    // listing it as a snapshot read would be a false positive.
-    if (txn.writeset_.count(id) != 0) continue;
-    rec.reads.push_back(core::HistoryRead{id, entry.version});
-  }
-  for (const auto& [id, entry] : txn.writeset_) {
-    rec.writes.push_back(
-        core::HistoryWrite{id, entry.base, install_ts, entry.data});
-  }
-  recorder_->record_commit(std::move(rec));
+void DecentCluster::seed(ObjectId id, const Bytes& data) {
+  for (net::NodeId n : replicas_of(id)) nodes_[n]->seed(id, data);
 }
 
 sim::Task<bool> DecentCluster::try_commit(DecentTxn& txn) {
-  if (txn.writeset_.empty()) {
-    // Read-only: every read was served as of the pinned snapshot point, and
-    // versions valid at that point stay valid forever (commit timestamps
-    // are monotone) -- the snapshot is consistent with no communication.
-    ++metrics_.local_commits;
-    if (recorder_ != nullptr) record_commit_history(txn, 0);
-    co_return true;
-  }
   auto* rpc = endpoints_[txn.node_].get();
   // Vote round: lock every replica of every written object.
   struct Voted {
@@ -347,7 +278,7 @@ sim::Task<bool> DecentCluster::try_commit(DecentTxn& txn) {
       w.u64(entry.base);
       ++metrics_.commit_messages;
       auto res = co_await rpc->call(rep, kDecentVote, std::move(w).take(),
-                                    cfg_.rpc_timeout);
+                                    kRpcTimeout);
       bool yes = false;
       if (res.ok) {
         Reader r(res.payload);
@@ -397,71 +328,8 @@ sim::Task<bool> DecentCluster::try_commit(DecentTxn& txn) {
       rpc->notify(rep, kDecentApply, std::move(w).take());
     }
   }
-  if (recorder_ != nullptr) record_commit_history(txn, ts);
+  record_commit(txn, ts);
   co_return true;
 }
-
-sim::Task<void> DecentCluster::run_transaction(net::NodeId node,
-                                               DecentBody body) {
-  co_await run_transaction_bounded(node, std::move(body), 0);
-}
-
-sim::Task<bool> DecentCluster::run_transaction_bounded(
-    net::NodeId node, DecentBody body, std::uint32_t max_attempts) {
-  const sim::Tick txn_start = sim_.now();
-  std::uint32_t attempt = 0;
-  for (;;) {
-    DecentTxn txn(*this, node, next_txn_id_++);
-    bool aborted = false;
-    std::string reason = "vote failed";
-    try {
-      co_await body(txn);
-      ++metrics_.commit_requests;
-      if (co_await try_commit(txn)) {
-        ++metrics_.commits;
-        latency_.commit_latency.record(sim_.now() - txn_start);
-        co_return true;
-      }
-      aborted = true;
-    } catch (const DecentAbort& a) {
-      reason = a.reason;
-      aborted = true;
-    }
-    QRDTM_CHECK(aborted);
-    ++metrics_.root_aborts;
-    if (recorder_ != nullptr) {
-      recorder_->record_abort(sim_.now(), txn.node_, txn.id_, reason);
-    }
-    ++attempt;
-    if (max_attempts != 0 && attempt >= max_attempts) co_return false;
-    const sim::Tick abort_tick = sim_.now();
-    const sim::Tick wait = core::draw_backoff_wait(
-        core::kBackoffBase, core::kBackoffCap, attempt, rng_);
-    latency_.backoff_wait.record(wait);
-    if (wait > 0) co_await sim_.delay(wait);
-    latency_.retry_gap.record(sim_.now() - abort_tick);
-  }
-}
-
-void DecentCluster::spawn_client(net::NodeId node, DecentBody body) {
-  sim_.spawn(run_transaction(node, std::move(body)));
-}
-
-void DecentCluster::spawn_loop_client(net::NodeId node, BodyFactory factory) {
-  auto loop = [](DecentCluster* self, net::NodeId n,
-                 BodyFactory f) -> sim::Task<void> {
-    Rng rng = self->rng_.split(n + 1);
-    while (!self->sim_.stopping()) {
-      co_await self->run_transaction(n, f(rng));
-    }
-  };
-  sim_.spawn(loop(this, node, std::move(factory)));
-}
-
-void DecentCluster::run_for(sim::Tick duration) {
-  sim_.run_until(sim_.now() + duration);
-}
-
-void DecentCluster::run_to_completion() { sim_.run(); }
 
 }  // namespace qrdtm::baselines

@@ -4,9 +4,6 @@
 
 #include "common/check.h"
 #include "common/serde.h"
-#include "core/backoff.h"
-#include "core/history.h"
-#include "net/latency.h"
 
 namespace qrdtm::baselines {
 
@@ -21,8 +18,7 @@ constexpr net::MsgKind kTfaWriteback = 0x0205;  // one-way
 struct ObjectState {
   Version version = 0;
   Bytes data;
-  TxnId locked_by = 0;
-  sim::Tick locked_at = 0;
+  LeasedLock lock;
 };
 
 }  // namespace
@@ -39,8 +35,8 @@ struct ObjectState {
 /// applying its write over a successor's could roll the version backwards.
 class TfaNode {
  public:
-  TfaNode(net::RpcEndpoint& rpc, sim::Tick lock_lease)
-      : id_(rpc.id()), sim_(rpc.simulator()), lock_lease_(lock_lease) {
+  TfaNode(net::RpcEndpoint& rpc, sim::Tick lock_lease, core::Metrics& metrics)
+      : sim_(rpc.simulator()), lock_lease_(lock_lease), metrics_(metrics) {
     rpc.register_service(kTfaRead, [this](net::NodeId, const Bytes& b) {
       return handle_read(b);
     });
@@ -64,7 +60,7 @@ class TfaNode {
   }
 
   void seed(ObjectId id, const Bytes& data) {
-    objects_[id] = ObjectState{1, data, 0, 0};
+    objects_[id] = ObjectState{1, data, {}};
   }
 
   std::uint64_t clock() const { return clock_; }
@@ -72,20 +68,10 @@ class TfaNode {
 
   bool locked(ObjectId id) const {
     auto it = objects_.find(id);
-    return it != objects_.end() && it->second.locked_by != 0;
+    return it != objects_.end() && it->second.lock.held();
   }
-  std::uint64_t lease_breaks() const { return lease_breaks_; }
-  std::uint64_t stale_writebacks() const { return stale_writebacks_; }
 
  private:
-  /// Shed a lock whose holder's commit is overdue by the whole lease.
-  void shed_stale_lock(ObjectState& s) {
-    if (lock_lease_ == 0 || s.locked_by == 0) return;
-    if (sim_.now() < s.locked_at + lock_lease_) return;
-    s.locked_by = 0;
-    ++lease_breaks_;
-  }
-
   std::optional<Bytes> handle_read(const Bytes& b) {
     Reader r(b);
     ObjectId id = r.u64();
@@ -112,9 +98,8 @@ class TfaNode {
     bool ok = false;
     auto it = objects_.find(id);
     if (it != objects_.end()) {
-      shed_stale_lock(it->second);
-      ok = it->second.version == version &&
-           (it->second.locked_by == 0 || it->second.locked_by == txn);
+      it->second.lock.shed_if_overdue(sim_.now(), lock_lease_, metrics_);
+      ok = it->second.version == version && it->second.lock.admits(txn);
     }
     Writer w;
     w.boolean(ok);
@@ -128,16 +113,10 @@ class TfaNode {
     TxnId txn = r.u64();
     bool ok = false;
     auto it = objects_.find(id);
-    if (it != objects_.end()) shed_stale_lock(it->second);
-    if (it == objects_.end() && base == 0) {
-      // First write to a transaction-created object: claim it.
-      objects_[id] = ObjectState{0, {}, txn, sim_.now()};
-      ok = true;
-    } else if (it != objects_.end() && it->second.version == base &&
-               (it->second.locked_by == 0 || it->second.locked_by == txn)) {
-      it->second.locked_by = txn;
-      it->second.locked_at = sim_.now();
-      ok = true;
+    if (it != objects_.end()) {
+      it->second.lock.shed_if_overdue(sim_.now(), lock_lease_, metrics_);
+      ok = it->second.version == base && it->second.lock.admits(txn);
+      if (ok) it->second.lock.grant(txn, sim_.now());
     }
     Writer w;
     w.boolean(ok);
@@ -149,9 +128,7 @@ class TfaNode {
     ObjectId id = r.u64();
     TxnId txn = r.u64();
     auto it = objects_.find(id);
-    if (it != objects_.end() && it->second.locked_by == txn) {
-      it->second.locked_by = 0;
-    }
+    if (it != objects_.end()) it->second.lock.release(txn);
   }
 
   void handle_writeback(const Bytes& b) {
@@ -160,26 +137,22 @@ class TfaNode {
     Version version = r.u64();
     Bytes data = r.blob();
     TxnId txn = r.u64();
-    ObjectState& s = objects_[id];
-    if (s.locked_by != txn) {
-      // The lease shed this writer's lock (and possibly granted it to a
-      // successor): its writeback is stale and must not clobber state it
-      // no longer owns.
-      ++stale_writebacks_;
-      return;
-    }
+    auto it = objects_.find(id);
+    // The lease shed this writer's lock (and possibly granted it to a
+    // successor): its writeback is stale and must not clobber state it no
+    // longer owns.
+    if (it == objects_.end() || it->second.lock.locked_by != txn) return;
+    ObjectState& s = it->second;
     s.version = version;
     s.data = std::move(data);
-    s.locked_by = 0;
+    s.lock.release(txn);
     clock_ = std::max(clock_, version);
   }
 
-  net::NodeId id_;
   sim::Simulator& sim_;
   sim::Tick lock_lease_;
+  core::Metrics& metrics_;
   std::uint64_t clock_ = 0;
-  std::uint64_t lease_breaks_ = 0;
-  std::uint64_t stale_writebacks_ = 0;
   std::map<ObjectId, ObjectState> objects_;
 };
 
@@ -191,7 +164,7 @@ TfaTxn::TfaTxn(TfaCluster& cluster, net::NodeId node, TxnId id,
   scopes_.emplace_back();  // the root scope
 }
 
-const TfaTxn::ReadEntry* TfaTxn::find_read(ObjectId id) const {
+const ReadEntry* TfaTxn::find_read(ObjectId id) const {
   for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
     if (auto e = it->readset.find(id); e != it->readset.end()) {
       return &e->second;
@@ -200,7 +173,7 @@ const TfaTxn::ReadEntry* TfaTxn::find_read(ObjectId id) const {
   return nullptr;
 }
 
-const TfaTxn::WriteEntry* TfaTxn::find_write(ObjectId id) const {
+const WriteEntry* TfaTxn::find_write(ObjectId id) const {
   for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
     if (auto e = it->writeset.find(id); e != it->writeset.end()) {
       return &e->second;
@@ -224,8 +197,7 @@ sim::Task<void> TfaTxn::forward(std::uint64_t to_clock) {
       w.u64(id_);
       ++c.metrics_.read_messages;
       auto res = co_await c.endpoints_[node_]->call(
-          c.home_of(id), kTfaValidate, std::move(w).take(),
-          c.cfg_.rpc_timeout);
+          c.home_of(id), kTfaValidate, std::move(w).take(), kRpcTimeout);
       bool ok = false;
       if (res.ok) {
         Reader r(res.payload);
@@ -240,7 +212,7 @@ sim::Task<void> TfaTxn::forward(std::uint64_t to_clock) {
     if (outermost_invalid == 0) break;  // whole transaction doomed
   }
   if (outermost_invalid < scopes_.size()) {
-    throw TfaAbort{"forwarding validation failed", outermost_invalid};
+    throw BaselineAbort{"forwarding validation failed", outermost_invalid};
   }
   clock_ = std::max(clock_, to_clock);
 }
@@ -260,14 +232,14 @@ sim::Task<Bytes> TfaTxn::read(ObjectId id) {
   ++c.metrics_.remote_reads;
   ++c.metrics_.read_messages;
   auto res = co_await c.endpoints_[node_]->call(
-      c.home_of(id), kTfaRead, std::move(w).take(), c.cfg_.rpc_timeout);
-  if (!res.ok) throw TfaAbort{"read timeout", scopes_.size() - 1};
+      c.home_of(id), kTfaRead, std::move(w).take(), kRpcTimeout);
+  if (!res.ok) throw BaselineAbort{"read timeout", scopes_.size() - 1};
   Reader r(res.payload);
   bool found = r.boolean();
   Version version = r.u64();
   Bytes data = r.blob();
   std::uint64_t home_clock = r.u64();
-  if (!found) throw TfaAbort{"object missing", 0};
+  if (!found) throw BaselineAbort{"object missing", 0};
 
   if (home_clock > clock_) {
     co_await forward(home_clock);
@@ -289,7 +261,7 @@ sim::Task<Bytes> TfaTxn::read_for_write(ObjectId id) {
       QRDTM_CHECK(re != nullptr);
       base = re->version;
     }
-    top().writeset[id] = WriteEntry{base, data, false};
+    top().writeset[id] = WriteEntry{base, data};
   }
   co_return data;
 }
@@ -299,7 +271,6 @@ void TfaTxn::write(ObjectId id, Bytes data) {
   QRDTM_CHECK_MSG(it != top().writeset.end(),
                   "write() requires read_for_write() first (in this scope)");
   it->second.data = std::move(data);
-  it->second.dirty = true;
 }
 
 sim::Task<void> TfaTxn::nested(TfaBody body) {
@@ -312,10 +283,10 @@ sim::Task<void> TfaTxn::nested(TfaBody body) {
     scopes_.emplace_back();
     bool retry = false;
     bool propagate = false;
-    TfaAbort saved;
+    BaselineAbort saved;
     try {
       co_await body(*this);
-    } catch (TfaAbort& a) {
+    } catch (BaselineAbort& a) {
       scopes_.pop_back();  // discard this scope's sets
       if (a.scope == my_index) {
         retry = true;
@@ -341,73 +312,38 @@ sim::Task<void> TfaTxn::nested(TfaBody body) {
 
 // ------------------------------------------------------------ TfaCluster
 
-TfaCluster::TfaCluster(TfaConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
-  net_ = std::make_unique<net::Network>(
-      sim_,
-      std::make_unique<net::UniformLatency>(cfg_.link_latency,
-                                            cfg_.link_jitter),
-      rng_.next(), cfg_.service_time);
-  for (std::uint32_t i = 0; i < cfg_.num_nodes; ++i) {
-    endpoints_.push_back(std::make_unique<net::RpcEndpoint>(sim_, *net_));
+TfaCluster::TfaCluster(TfaConfig cfg)
+    : BaselineCluster(cfg, kLinkLatency, kLinkJitter) {
+  for (const auto& rpc : endpoints_) {
     nodes_.push_back(
-        std::make_unique<TfaNode>(*endpoints_.back(), cfg_.lock_lease));
+        std::make_unique<TfaNode>(*rpc, cfg_.lock_lease, metrics_));
   }
 }
+
+TfaCluster::~TfaCluster() = default;
 
 bool TfaCluster::object_locked(ObjectId id) const {
   return nodes_[home_of(id)]->locked(id);
 }
-
-std::uint64_t TfaCluster::lock_lease_breaks() const {
-  std::uint64_t total = 0;
-  for (const auto& n : nodes_) total += n->lease_breaks();
-  return total;
-}
-
-TfaCluster::~TfaCluster() = default;
 
 net::NodeId TfaCluster::home_of(ObjectId id) const {
   return static_cast<net::NodeId>((id * 0x9e3779b97f4a7c15ULL >> 32) %
                                   cfg_.num_nodes);
 }
 
-ObjectId TfaCluster::seed_new_object(const Bytes& data) {
-  ObjectId id = next_object_id_++;
-  nodes_[home_of(id)]->seed(id, data);
-  if (recorder_ != nullptr) recorder_->record_seed(id, 1, data);
-  return id;
+TfaTxn TfaCluster::begin(net::NodeId node, TxnId id) {
+  return TfaTxn(*this, node, id, nodes_[node]->clock());
 }
 
-void TfaCluster::record_commit_history(const TfaTxn& txn, Version commit_ts) {
-  core::CommittedTxn rec;
-  rec.txn = txn.id_;
-  rec.node = txn.node_;
-  rec.commit_tick = sim_.now();
-  rec.snapshot = 0;  // TFA is checked at the serializable level
-  for (const auto& [id, entry] : txn.root_readset()) {
-    // Written objects' reads are covered by their write base.
-    if (txn.root_writeset().contains(id)) continue;
-    rec.reads.push_back(core::HistoryRead{id, entry.version});
-  }
-  for (const auto& [id, entry] : txn.root_writeset()) {
-    rec.writes.push_back(
-        core::HistoryWrite{id, entry.base, commit_ts, entry.data});
-  }
-  recorder_->record_commit(std::move(rec));
+void TfaCluster::seed(ObjectId id, const Bytes& data) {
+  nodes_[home_of(id)]->seed(id, data);
 }
 
 sim::Task<bool> TfaCluster::try_commit(TfaTxn& txn) {
   QRDTM_CHECK_MSG(txn.scopes_.size() == 1,
                   "commit with unmerged nested scopes");
-  const auto& readset = txn.root_readset();
-  const auto& writeset = txn.root_writeset();
-  if (writeset.empty()) {
-    // Read-only: every read was (re)validated at its forwarding points;
-    // commit needs no communication.
-    ++metrics_.local_commits;
-    if (recorder_ != nullptr) record_commit_history(txn, 0);
-    co_return true;
-  }
+  const ReadSet& readset = txn.readset();
+  const WriteSet& writeset = txn.writeset();
   auto* rpc = endpoints_[txn.node_].get();
   // Lock phase, in id order (global order prevents lock-order deadlock).
   std::vector<ObjectId> locked;
@@ -419,7 +355,7 @@ sim::Task<bool> TfaCluster::try_commit(TfaTxn& txn) {
     w.u64(txn.id_);
     ++metrics_.commit_messages;
     auto res = co_await rpc->call(home_of(id), kTfaLock, std::move(w).take(),
-                                  cfg_.rpc_timeout);
+                                  kRpcTimeout);
     if (!res.ok) {
       ok = false;
       break;
@@ -441,7 +377,7 @@ sim::Task<bool> TfaCluster::try_commit(TfaTxn& txn) {
       w.u64(txn.id_);
       ++metrics_.commit_messages;
       auto res = co_await rpc->call(home_of(id), kTfaValidate,
-                                    std::move(w).take(), cfg_.rpc_timeout);
+                                    std::move(w).take(), kRpcTimeout);
       if (!res.ok) {
         ok = false;
         break;
@@ -482,71 +418,8 @@ sim::Task<bool> TfaCluster::try_commit(TfaTxn& txn) {
     rpc->notify(home_of(id), kTfaWriteback, std::move(w).take());
   }
   nodes_[txn.node_]->advance_clock(commit_ts);
-  if (recorder_ != nullptr) record_commit_history(txn, commit_ts);
+  record_commit(txn, commit_ts);
   co_return true;
 }
-
-sim::Task<void> TfaCluster::run_transaction(net::NodeId node, TfaBody body) {
-  co_await run_transaction_bounded(node, std::move(body), 0);
-}
-
-sim::Task<bool> TfaCluster::run_transaction_bounded(net::NodeId node,
-                                                    TfaBody body,
-                                                    std::uint32_t max_attempts) {
-  const sim::Tick txn_start = sim_.now();
-  std::uint32_t attempt = 0;
-  for (;;) {
-    TfaTxn txn(*this, node, next_txn_id_++, nodes_[node]->clock());
-    bool aborted = false;
-    std::string reason = "commit validation failed";
-    try {
-      co_await body(txn);
-      ++metrics_.commit_requests;
-      if (co_await try_commit(txn)) {
-        ++metrics_.commits;
-        latency_.commit_latency.record(sim_.now() - txn_start);
-        co_return true;
-      }
-      aborted = true;
-    } catch (const TfaAbort& a) {
-      reason = a.reason;
-      aborted = true;
-    }
-    QRDTM_CHECK(aborted);
-    ++metrics_.root_aborts;
-    if (recorder_ != nullptr) {
-      recorder_->record_abort(sim_.now(), txn.node_, txn.id_, reason);
-    }
-    ++attempt;
-    if (max_attempts != 0 && attempt >= max_attempts) co_return false;
-    const sim::Tick abort_tick = sim_.now();
-    const sim::Tick wait = core::draw_backoff_wait(
-        core::kBackoffBase, core::kBackoffCap, attempt, rng_);
-    latency_.backoff_wait.record(wait);
-    if (wait > 0) co_await sim_.delay(wait);
-    latency_.retry_gap.record(sim_.now() - abort_tick);
-  }
-}
-
-void TfaCluster::spawn_client(net::NodeId node, TfaBody body) {
-  sim_.spawn(run_transaction(node, std::move(body)));
-}
-
-void TfaCluster::spawn_loop_client(net::NodeId node, BodyFactory factory) {
-  auto loop = [](TfaCluster* self, net::NodeId n,
-                 BodyFactory f) -> sim::Task<void> {
-    Rng rng = self->rng_.split(n + 1);
-    while (!self->sim_.stopping()) {
-      co_await self->run_transaction(n, f(rng));
-    }
-  };
-  sim_.spawn(loop(this, node, std::move(factory)));
-}
-
-void TfaCluster::run_for(sim::Tick duration) {
-  sim_.run_until(sim_.now() + duration);
-}
-
-void TfaCluster::run_to_completion() { sim_.run(); }
 
 }  // namespace qrdtm::baselines

@@ -156,6 +156,13 @@ struct SweepParam {
   NestingMode mode;
 };
 
+// Without this gtest prints the raw bytes of a SweepParam, whose first field
+// is a pointer: the listed test names (and so the ctest names) would change
+// with the load address.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << p.app << "/" << core::to_string(p.mode);
+}
+
 class AppModeSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(AppModeSweep, ConcurrentWorkloadPreservesInvariants) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 
 #include "baselines/decent.h"
 #include "baselines/tfa.h"
@@ -215,9 +216,8 @@ TEST(Decent, FirstCommitterWinsOnWriteWriteConflict) {
 }
 
 TEST(Decent, CommitBroadcastsToAllReplicas) {
-  DecentConfig cfg = fast_decent();
-  cfg.replication = 3;
-  DecentCluster c(cfg);
+  DecentCluster c(fast_decent());
+  ASSERT_EQ(DecentCluster::kReplication, 3u);
   ObjectId a = c.seed_new_object(enc_i64(0));
   c.spawn_client(0, [a](DecentTxn& t) -> sim::Task<void> {
     std::int64_t v = dec_i64(co_await t.read_for_write(a));
@@ -235,30 +235,62 @@ TEST(Decent, CommitBroadcastsToAllReplicas) {
 // between, that release never arrives; the lock lease must shed the orphan
 // so the object becomes writable again.
 
-sim::Task<void> tfa_bounded(TfaCluster* c, net::NodeId node, TfaBody body,
+template <class Cluster>
+class BaselineLease : public ::testing::Test {};
+
+using Clusters = ::testing::Types<TfaCluster, DecentCluster>;
+TYPED_TEST_SUITE(BaselineLease, Clusters);
+
+/// The nodes that hold `obj`'s lock: its TFA home, or its Decent replicas.
+template <class Cluster>
+std::vector<net::NodeId> lock_holders(const Cluster& c, ObjectId obj) {
+  if constexpr (std::is_same_v<Cluster, TfaCluster>) {
+    return {c.home_of(obj)};
+  } else {
+    return c.replicas_of(obj);
+  }
+}
+
+/// The first node above `after` that holds no lock on `obj`.
+template <class Cluster>
+net::NodeId first_off_holders(const Cluster& c, ObjectId obj,
+                              int after = -1) {
+  const std::vector<net::NodeId> holders = lock_holders(c, obj);
+  net::NodeId n = static_cast<net::NodeId>(after + 1);
+  while (std::find(holders.begin(), holders.end(), n) != holders.end()) ++n;
+  return n;
+}
+
+template <class Cluster>
+sim::Task<void> run_bounded(Cluster* c, net::NodeId node,
+                            typename Cluster::Body body,
                             std::uint32_t attempts, bool* committed) {
   *committed =
       co_await c->run_transaction_bounded(node, std::move(body), attempts);
 }
 
-TEST(Tfa, OrphanedLockShedByLeaseUnwedgesObject) {
-  TfaConfig cfg;
+TYPED_TEST(BaselineLease, OrphanedLockShedByLeaseUnwedgesObject) {
+  using Cluster = TypeParam;
+  typename Cluster::Config cfg;
+  if constexpr (std::is_same_v<Cluster, DecentCluster>) {
+    cfg.snapshot_compute = 0;  // isolate protocol logic in unit tests
+  }
   cfg.lock_lease = sim::msec(200);
-  TfaCluster c(cfg);
+  Cluster c(cfg);
   const ObjectId obj = c.seed_new_object(enc_i64(0));
-  // Doomed coordinator on a node that is NOT the object's home, so its
-  // writeback has to cross the (soon dead) network link.
-  const net::NodeId doomed =
-      c.home_of(obj) == 0 ? net::NodeId{1} : net::NodeId{0};
-  TfaBody bump = [obj](TfaTxn& t) -> sim::Task<void> {
+  // Doomed coordinator off the lock holders: its writeback/apply must cross
+  // the (soon dead) network link, so killing it after the lock is granted
+  // orphans the lock.
+  const net::NodeId doomed = first_off_holders(c, obj);
+  typename Cluster::Body bump = [obj](auto& t) -> sim::Task<void> {
     std::int64_t v = dec_i64(co_await t.read_for_write(obj));
     t.write(obj, enc_i64(v + 1));
   };
 
   bool doomed_committed = false;
-  c.simulator().spawn(tfa_bounded(&c, doomed, bump, 1, &doomed_committed));
-  // Run until the home has granted the lock, then fail-stop the coordinator
-  // before its writeback is sent: the lock is now orphaned.
+  c.simulator().spawn(run_bounded(&c, doomed, bump, 1, &doomed_committed));
+  // Run until a holder has granted the lock, then fail-stop the coordinator
+  // before its writeback/apply is sent: the lock is now orphaned.
   bool locked = false;
   sim::Tick poll_at = 0;
   for (int i = 0; i < 1000 && !locked; ++i) {
@@ -270,73 +302,114 @@ TEST(Tfa, OrphanedLockShedByLeaseUnwedgesObject) {
   c.network().kill(doomed);
 
   bool committed = false;
-  const net::NodeId writer =
-      c.home_of(obj) == 2 ? net::NodeId{3} : net::NodeId{2};
-  c.simulator().spawn(tfa_bounded(&c, writer, bump, 50, &committed));
+  const net::NodeId writer = first_off_holders(c, obj, doomed);
+  c.simulator().spawn(run_bounded(&c, writer, bump, 50, &committed));
   c.run_to_completion();
 
   EXPECT_TRUE(committed) << "object stayed wedged behind the orphaned lock";
-  EXPECT_GT(c.lock_lease_breaks(), 0u);
+  EXPECT_GT(c.metrics().lease_breaks, 0u);
   EXPECT_FALSE(doomed_committed);
   std::int64_t final_v = -1;
-  c.spawn_client(4, [&, obj](TfaTxn& t) -> sim::Task<void> {
+  c.spawn_client(writer, [&, obj](auto& t) -> sim::Task<void> {
     final_v = dec_i64(co_await t.read(obj));
   });
   c.run_to_completion();
   EXPECT_EQ(final_v, 1) << "only the second writer's increment commits";
 }
 
-sim::Task<void> decent_bounded(DecentCluster* c, net::NodeId node,
-                               DecentBody body, std::uint32_t attempts,
-                               bool* committed) {
-  *committed =
-      co_await c->run_transaction_bounded(node, std::move(body), attempts);
+// ------------------------------------------------------ golden counters
+//
+// A short closed-loop bank run on each baseline at a fixed seed.  The
+// counters and the final tick pin the whole event schedule: the RNG draw
+// order (network seed, the per-client streams, the backoff draws), the
+// abort paths and every message count.
+
+struct BaselineGoldenCase {
+  const char* name;
+  std::uint64_t commits;
+  std::uint64_t root_aborts;
+  std::uint64_t ct_aborts;
+  std::uint64_t read_messages;
+  std::uint64_t commit_messages;
+  sim::Tick end;
+};
+
+struct BankStep {
+  bool read;
+  ObjectId a, b;
+  std::int64_t amount;
+};
+
+template <class Txn>
+sim::Task<void> bank_step(Txn& t, BankStep s) {
+  if (s.read) {
+    (void)co_await t.read(s.a);
+    (void)co_await t.read(s.b);
+    co_return;
+  }
+  std::int64_t f = dec_i64(co_await t.read_for_write(s.a));
+  std::int64_t g = dec_i64(co_await t.read_for_write(s.b));
+  t.write(s.a, enc_i64(f - s.amount));
+  t.write(s.b, enc_i64(g + s.amount));
 }
 
-TEST(Decent, OrphanedLockShedByLeaseUnwedgesObject) {
-  DecentConfig cfg = fast_decent();
-  cfg.lock_lease = sim::msec(200);
-  DecentCluster c(cfg);
-  const ObjectId obj = c.seed_new_object(enc_i64(0));
-  // Doomed coordinator off the replica set: its commit-apply must cross
-  // the network, so killing it after the votes orphans the replica locks.
-  const std::vector<net::NodeId> replicas = c.replicas_of(obj);
-  net::NodeId doomed = 0;
-  while (std::find(replicas.begin(), replicas.end(), doomed) !=
-         replicas.end()) {
-    ++doomed;
+/// Four loop clients over six accounts for 800 ms, then drained.  Each TFA
+/// step is a nested scope, so N-TFA can retry it alone.
+template <class Cluster>
+void expect_golden(typename Cluster::Config cfg,
+                   const BaselineGoldenCase& want) {
+  SCOPED_TRACE(want.name);
+  constexpr std::uint64_t kAccounts = 6;
+  cfg.num_nodes = 7;
+  cfg.seed = 2013;
+  Cluster c(cfg);
+  for (std::uint64_t i = 0; i < kAccounts; ++i) {
+    c.seed_new_object(enc_i64(100));
   }
-  DecentBody bump = [obj](DecentTxn& t) -> sim::Task<void> {
-    std::int64_t v = dec_i64(co_await t.read_for_write(obj));
-    t.write(obj, enc_i64(v + 1));
-  };
-
-  bool doomed_committed = false;
-  c.simulator().spawn(decent_bounded(&c, doomed, bump, 1, &doomed_committed));
-  bool locked = false;
-  sim::Tick poll_at = 0;
-  for (int i = 0; i < 1000 && !locked; ++i) {
-    poll_at += sim::msec(1);
-    c.simulator().advance_to(poll_at);
-    locked = c.object_locked(obj);
+  for (net::NodeId n = 0; n < 4; ++n) {
+    c.spawn_loop_client(n, [](Rng& rng) -> typename Cluster::Body {
+      std::vector<BankStep> plan;
+      for (int i = 0; i < 2; ++i) {
+        BankStep s;
+        s.read = rng.chance(0.4);
+        s.a = 1 + rng.below(kAccounts);
+        s.b = 1 + rng.below(kAccounts - 1);
+        if (s.b >= s.a) ++s.b;
+        s.amount = rng.range(1, 9);
+        plan.push_back(s);
+      }
+      return [plan](auto& t) -> sim::Task<void> {
+        for (const BankStep& s : plan) {
+          if constexpr (std::is_same_v<Cluster, TfaCluster>) {
+            co_await t.nested([s](TfaTxn& ct) -> sim::Task<void> {
+              co_await bank_step(ct, s);
+            });
+          } else {
+            co_await bank_step(t, s);
+          }
+        }
+      };
+    });
   }
-  ASSERT_TRUE(locked) << "test setup: no replica ever voted the lock";
-  c.network().kill(doomed);
-
-  bool committed = false;
-  const net::NodeId writer = doomed == 0 ? net::NodeId{1} : net::NodeId{0};
-  c.simulator().spawn(decent_bounded(&c, writer, bump, 50, &committed));
+  c.run_for(sim::msec(800));
   c.run_to_completion();
+  const core::Metrics& m = c.metrics();
+  EXPECT_EQ(m.commits, want.commits);
+  EXPECT_EQ(m.root_aborts, want.root_aborts);
+  EXPECT_EQ(m.ct_aborts, want.ct_aborts);
+  EXPECT_EQ(m.read_messages, want.read_messages);
+  EXPECT_EQ(m.commit_messages, want.commit_messages);
+  EXPECT_EQ(c.simulator().now(), want.end);
+}
 
-  EXPECT_TRUE(committed) << "object stayed wedged behind the orphaned lock";
-  EXPECT_GT(c.lock_lease_breaks(), 0u);
-  EXPECT_FALSE(doomed_committed);
-  std::int64_t final_v = -1;
-  c.spawn_client(writer, [&, obj](DecentTxn& t) -> sim::Task<void> {
-    final_v = dec_i64(co_await t.read(obj));
-  });
-  c.run_to_completion();
-  EXPECT_EQ(final_v, 1) << "only the second writer's increment commits";
+TEST(BaselineGolden, BankCountersAndFinalTick) {
+  expect_golden<TfaCluster>(TfaConfig{},
+                            {"tfa", 42, 74, 0, 416, 326, 1586230004});
+  TfaConfig ntfa;
+  ntfa.closed_nesting = true;
+  expect_golden<TfaCluster>(ntfa, {"ntfa", 36, 70, 6, 403, 322, 1472363469});
+  expect_golden<DecentCluster>(DecentConfig{},
+                               {"decent", 8, 8, 0, 144, 116, 1798698917});
 }
 
 }  // namespace

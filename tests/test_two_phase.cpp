@@ -26,6 +26,13 @@ struct RoundCase {
   bool writes;
 };
 
+// Without this gtest prints the raw bytes of a RoundCase, whose first field
+// is a pointer: the listed test names (and so the ctest names) would change
+// with the load address.
+void PrintTo(const RoundCase& rc, std::ostream* os) {
+  *os << to_string(rc.mode) << (rc.writes ? "/writing" : "/read-only");
+}
+
 constexpr sim::Tick kSettle = sim::msec(200);  // far above a vote round trip
 
 class TwoPhaseReadOnlyRule : public ::testing::TestWithParam<RoundCase> {};
