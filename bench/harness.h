@@ -3,8 +3,8 @@
 // One experiment point = one deterministic simulation: build a cluster,
 // seed the app, run closed-loop clients for a fixed simulated duration,
 // then drain in-flight transactions and verify the app's integrity
-// invariants.  Sweeps fan points out over a thread pool (one Simulator per
-// point; nothing is shared between threads).
+// invariants.  Sweeps fan points out over a thread pool (parallel_for: one
+// Simulator per point; nothing is shared between threads).
 #pragma once
 
 #include <cstdint>
@@ -18,40 +18,23 @@
 namespace qrdtm::bench {
 
 struct ExperimentConfig {
+  /// Every cluster and runtime knob (nesting mode, node count, seed,
+  /// quorum, cohorts, QR-CHK/QR-Q/closed-nesting costs, link latency, ...).
+  /// run_experiment builds its Cluster from this as is, except that
+  /// cohort_size is clamped to num_nodes.
+  core::ClusterConfig cluster;
+
   std::string app = "bank";
-  core::NestingMode mode = core::NestingMode::kFlat;
   apps::WorkloadParams params;
 
-  std::uint32_t num_nodes = 13;
   std::uint32_t clients = 8;  // closed-loop clients, spread over nodes
-  std::uint64_t seed = 1;
   sim::Tick duration = sim::sec(60);
 
-  core::QuorumKind quorum = core::QuorumKind::kTree;
-  std::uint32_t tree_read_level = 1;
-  /// kSharded only (see ClusterConfig): cohort count and replicas per
-  /// cohort for partial replication.
-  std::uint32_t num_shards = 16;
-  std::uint32_t cohort_size = 13;
   std::uint32_t failures = 0;  // nodes killed before the run (Fig. 10)
   /// Churn: restart every pre-killed node at this tick via
   /// Cluster::recover_node (anti-entropy catch-up + quorum re-admission).
   /// 0 = killed nodes stay dead for the whole run.
   sim::Tick recover_at = 0;
-
-  /// QR-CHK knobs (ignored by other modes); defaults from RuntimeConfig.
-  std::uint32_t chk_threshold = 1;
-  sim::Tick chk_create_cost = core::RuntimeConfig{}.chk_create_cost;
-  sim::Tick chk_create_cost_per_obj =
-      core::RuntimeConfig{}.chk_create_cost_per_obj;
-  sim::Tick chk_restore_cost = core::RuntimeConfig{}.chk_restore_cost;
-
-  /// Closed-nesting retry pause (default from RuntimeConfig).
-  sim::Tick ct_retry_backoff = core::RuntimeConfig{}.ct_retry_backoff;
-
-  /// QR-Q knobs (ignored by other modes); defaults from RuntimeConfig.
-  sim::Tick batch_window = core::RuntimeConfig{}.batch_window;
-  std::uint32_t batch_max_txns = core::RuntimeConfig{}.batch_max_txns;
 
   /// Concentrate the closed-loop clients on the first `client_nodes` nodes
   /// instead of spreading them round-robin over every live node (0 = spread,
@@ -68,10 +51,6 @@ struct ExperimentConfig {
   /// the integrity checker.  0 = off.
   sim::Tick coordinator_kill_period = 0;
   sim::Tick coordinator_down_for = sim::msec(500);
-
-  /// Network overrides (0 = ClusterConfig defaults).
-  sim::Tick link_latency = 0;
-  sim::Tick service_time = 0;
 
   /// Optional qrdtm-trace recorder attached to the cluster for this point
   /// (nullptr = tracing off, the default).  Sweeps that trace must run one
@@ -109,11 +88,18 @@ struct ExperimentResult {
   }
 };
 
-/// Run one experiment point (deterministic in cfg.seed).
+/// Run one experiment point (deterministic in cfg.cluster.seed).
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
 
-/// Run every point, parallelising across hardware threads; results are in
-/// input order regardless of scheduling.
+/// Call body(i) once for every i in [0, count), spread over up to one
+/// worker thread per hardware thread (inline when one worker suffices).
+/// Each call must touch only its own index's state -- one Simulator per
+/// point, nothing shared between threads.
+void parallel_for(std::size_t count,
+                  const std::function<void(std::size_t)>& body);
+
+/// Run every point via parallel_for; results are in input order regardless
+/// of scheduling.
 std::vector<ExperimentResult> run_sweep(
     const std::vector<ExperimentConfig>& configs);
 

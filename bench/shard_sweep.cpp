@@ -20,6 +20,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -185,24 +187,34 @@ int main(int argc, char** argv) {
       "shards {1,4,16,64} x cross-shard ratio {0,0.1} x Zipf skew {0,0.9}\n",
       kNodes, kCohortSize, kClients);
 
-  std::vector<Point> points;
+  // Run every point on the harness's thread pool (each builds its own
+  // Cluster), then print in sweep order -- skew, then cross ratio, then
+  // shard count -- once all are in.
+  constexpr std::size_t kNumShards = std::size(kShards);
+  constexpr std::size_t kNumRatios = std::size(kCrossRatios);
+  std::vector<Point> points(std::size(kSkews) * kNumRatios * kNumShards);
+  parallel_for(points.size(), [&](std::size_t i) {
+    points[i] = run_point(kShards[i % kNumShards],
+                          kCrossRatios[i / kNumShards % kNumRatios],
+                          kSkews[i / (kNumShards * kNumRatios)], duration);
+  });
+
+  std::size_t next = 0;
   bool criterion_ok = true;
   for (double skew : kSkews) {
     for (double ratio : kCrossRatios) {
       print_header("cross=" + std::to_string(ratio) +
                        " skew=" + std::to_string(skew),
                    "shards    txn/s   commits  cross-rounds  ab/cmt");
-      std::vector<Point> series;
-      for (std::uint32_t shards : kShards) {
-        Point p = run_point(shards, ratio, skew, duration);
+      const std::span<const Point> series(points.data() + next, kNumShards);
+      next += kNumShards;
+      for (const Point& p : series) {
         std::printf("%6u %s %9llu %13llu %s\n", p.shards,
                     fmt(p.throughput).c_str(),
                     static_cast<unsigned long long>(p.metrics.commits),
                     static_cast<unsigned long long>(
                         p.metrics.cross_shard_rounds),
                     fmt(p.metrics.abort_rate(), 8, 2).c_str());
-        series.push_back(p);
-        points.push_back(p);
       }
       if (skew == 0.0) {
         // Uniform access: every extra shard must buy real throughput.

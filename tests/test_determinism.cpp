@@ -43,13 +43,13 @@ void PrintTo(const Golden& g, std::ostream* os) {
 ExperimentConfig config_for(const char* app, core::NestingMode mode) {
   ExperimentConfig cfg;
   cfg.app = app;
-  cfg.mode = mode;
+  cfg.cluster.runtime.mode = mode;
   cfg.params.read_ratio = 0.2;
   cfg.params.nested_calls = 3;
   cfg.params.num_objects = default_objects(app);
-  cfg.num_nodes = 13;
+  cfg.cluster.num_nodes = 13;
   cfg.clients = 8;
-  cfg.seed = 42;
+  cfg.cluster.seed = 42;
   cfg.duration = sim::sec(5);
   // QR-Q batches only form with several clients per node: co-locate so the
   // goldens pin the interesting (multi-member batch) code path.

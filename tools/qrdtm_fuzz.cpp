@@ -204,6 +204,40 @@ sim::Task<void> qr_checker(core::Cluster* cl, apps::App* app, bool* ok,
       app->make_checker(ok), 100);
 }
 
+/// Replica-divergence check: the certified 1-copy final state must be
+/// reachable from the live replicas -- for every object some live node
+/// holds exactly the final version and bytes (commit confirms are reliable
+/// one-ways).  Returns the violation report, or "" when every object
+/// matches.
+std::string replica_divergence(core::Cluster& cluster,
+                               const core::CheckResult& cr) {
+  for (const auto& [id, fin] : cr.final_state) {
+    core::Version best = 0;
+    const store::ReplicaEntry* best_entry = nullptr;
+    for (std::uint32_t n = 0; n < cluster.num_nodes(); ++n) {
+      const net::NodeId node = static_cast<net::NodeId>(n);
+      if (!cluster.network().alive(node)) continue;
+      const store::ReplicaEntry* e = cluster.server(node).store().find(id);
+      if (e != nullptr && e->version > best) {
+        best = e->version;
+        best_entry = e;
+      }
+    }
+    if (best != fin.version ||
+        (best_entry != nullptr && best_entry->data != fin.data)) {
+      char buf[160];
+      std::snprintf(buf, sizeof buf,
+                    "VIOLATION (replica divergence): o=%llu newest live "
+                    "replica has v=%llu, certified final state is v=%llu",
+                    static_cast<unsigned long long>(id),
+                    static_cast<unsigned long long>(best),
+                    static_cast<unsigned long long>(fin.version));
+      return buf;
+    }
+  }
+  return "";
+}
+
 ComboResult run_qr(const ComboSpec& c) {
   core::ClusterConfig cfg;
   cfg.num_nodes = kNumNodes;
@@ -274,35 +308,8 @@ ComboResult run_qr(const ComboSpec& c) {
     return out;
   }
   if (!c.break_validation) {
-    // The certified 1-copy final state must be reachable from the live
-    // replicas: for every object some live node holds exactly the final
-    // version and bytes (commit confirms are reliable one-ways).
-    for (const auto& [id, fin] : cr.final_state) {
-      core::Version best = 0;
-      const store::ReplicaEntry* best_entry = nullptr;
-      for (std::uint32_t n = 0; n < kNumNodes; ++n) {
-        if (!cluster.network().alive(static_cast<net::NodeId>(n))) continue;
-        const store::ReplicaEntry* e =
-            cluster.server(static_cast<net::NodeId>(n)).store().find(id);
-        if (e != nullptr && e->version > best) {
-          best = e->version;
-          best_entry = e;
-        }
-      }
-      if (best != fin.version ||
-          (best_entry != nullptr && best_entry->data != fin.data)) {
-        out.violation = true;
-        char buf[160];
-        std::snprintf(buf, sizeof buf,
-                      "VIOLATION (replica divergence): o=%llu newest live "
-                      "replica has v=%llu, certified final state is v=%llu",
-                      static_cast<unsigned long long>(id),
-                      static_cast<unsigned long long>(best),
-                      static_cast<unsigned long long>(fin.version));
-        out.report = buf;
-        return out;
-      }
-    }
+    out.report = replica_divergence(cluster, cr);
+    out.violation = !out.report.empty();
   }
   return out;
 }
@@ -542,32 +549,15 @@ bool run_torn_recovery(std::uint64_t seed, bool broken, std::string* report) {
   }
 
   // Verdict: the certified final state must be reachable from the live
-  // replicas (same check run_qr applies after chaos).
+  // replicas (replica_divergence, the check run_qr applies after chaos).
   const core::CheckResult cr =
       core::check_history(recorder, core::CheckLevel::kSerializable);
   if (!cr.ok) {
     *report = cr.report;
     return true;
   }
-  for (const auto& [id, fin] : cr.final_state) {
-    core::Version best = 0;
-    for (std::uint32_t n = 0; n < cfg.num_nodes; ++n) {
-      const store::ReplicaEntry* e =
-          cluster.server(static_cast<net::NodeId>(n)).store().find(id);
-      if (e != nullptr && e->version > best) best = e->version;
-    }
-    if (best != fin.version) {
-      char buf[160];
-      std::snprintf(buf, sizeof buf,
-                    "VIOLATION (replica divergence): o=%llu newest live "
-                    "replica has v=%llu, certified final state is v=%llu",
-                    static_cast<unsigned long long>(id),
-                    static_cast<unsigned long long>(best),
-                    static_cast<unsigned long long>(fin.version));
-      *report = buf;
-      return true;
-    }
-  }
+  *report = replica_divergence(cluster, cr);
+  if (!report->empty()) return true;
   *report = "no violation";
   return false;
 }
@@ -622,25 +612,8 @@ bool run_orphan_termination(std::uint64_t seed, core::NestingMode mode,
     *report = cr.report;
     return true;
   }
-  for (const auto& [id, fin] : cr.final_state) {
-    core::Version best = 0;
-    for (std::uint32_t n = 0; n < cfg.num_nodes; ++n) {
-      const store::ReplicaEntry* e =
-          cluster.server(static_cast<net::NodeId>(n)).store().find(id);
-      if (e != nullptr && e->version > best) best = e->version;
-    }
-    if (best != fin.version) {
-      char buf[160];
-      std::snprintf(buf, sizeof buf,
-                    "VIOLATION (replica divergence): o=%llu newest live "
-                    "replica has v=%llu, certified final state is v=%llu",
-                    static_cast<unsigned long long>(id),
-                    static_cast<unsigned long long>(best),
-                    static_cast<unsigned long long>(fin.version));
-      *report = buf;
-      return true;
-    }
-  }
+  *report = replica_divergence(cluster, cr);
+  if (!report->empty()) return true;
   *report = "no violation";
   return false;
 }

@@ -536,8 +536,9 @@ void check_epoch(const Ctx& c) {
     }
 
     // Lock acquisition without a lease stamp.  Baseline lock tables pair
-    // `locked_by = txn` with `locked_at = now()` so shed_stale_lock can
-    // break orphaned locks; an unstamped acquisition is immortal.
+    // `locked_by = txn` with `locked_at = now()` so
+    // LeasedLock::shed_if_overdue can break orphaned locks; an unstamped
+    // acquisition is immortal.
     if (name == "locked_by" && i + 1 < t.size() && is_punct(t[i + 1], "=")) {
       // Releases (`locked_by = 0`) need no lease.
       if (i + 2 < t.size() && t[i + 2].kind == Tok::kNumber &&
@@ -555,9 +556,9 @@ void check_epoch(const Ctx& c) {
       if (!stamped) {
         c.diag(t[i].line, "lease-unleased-lock",
                "lock acquisition sets locked_by without stamping locked_at: "
-               "shed_stale_lock cannot lease-break an unstamped lock, so a "
-               "crashed owner wedges the object forever; set locked_at = "
-               "now() alongside");
+               "LeasedLock::shed_if_overdue cannot lease-break an unstamped "
+               "lock, so a crashed owner wedges the object forever; set "
+               "locked_at = now() alongside");
       }
       continue;
     }

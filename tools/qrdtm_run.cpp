@@ -56,6 +56,8 @@ void usage() {
 bool parse(int argc, char** argv, ExperimentConfig& cfg,
            std::string& bench_json, std::string& metrics_json,
            std::string& trace_json) {
+  core::ClusterConfig& cc = cfg.cluster;
+  core::RuntimeConfig& rt = cc.runtime;
   cfg.params.num_objects = 0;  // sentinel: fill from default_objects
   for (int i = 1; i < argc; ++i) {
     std::string flag = argv[i];
@@ -69,19 +71,19 @@ bool parse(int argc, char** argv, ExperimentConfig& cfg,
       cfg.app = val;
     } else if (flag == "--mode") {
       if (val == "flat") {
-        cfg.mode = core::NestingMode::kFlat;
+        rt.mode = core::NestingMode::kFlat;
       } else if (val == "closed") {
-        cfg.mode = core::NestingMode::kClosed;
+        rt.mode = core::NestingMode::kClosed;
       } else if (val == "checkpoint" || val == "chk") {
-        cfg.mode = core::NestingMode::kCheckpoint;
+        rt.mode = core::NestingMode::kCheckpoint;
       } else if (val == "queued") {
-        cfg.mode = core::NestingMode::kQueued;
+        rt.mode = core::NestingMode::kQueued;
       } else {
         std::fprintf(stderr, "unknown mode %s\n", val.c_str());
         return false;
       }
     } else if (flag == "--nodes") {
-      cfg.num_nodes = static_cast<std::uint32_t>(std::atoi(val.c_str()));
+      cc.num_nodes = static_cast<std::uint32_t>(std::atoi(val.c_str()));
     } else if (flag == "--clients") {
       cfg.clients = static_cast<std::uint32_t>(std::atoi(val.c_str()));
     } else if (flag == "--reads") {
@@ -95,35 +97,35 @@ bool parse(int argc, char** argv, ExperimentConfig& cfg,
     } else if (flag == "--seconds") {
       cfg.duration = sim::sec(std::atof(val.c_str()));
     } else if (flag == "--seed") {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(val.c_str()));
+      cc.seed = static_cast<std::uint64_t>(std::atoll(val.c_str()));
     } else if (flag == "--quorum") {
       if (val == "tree") {
-        cfg.quorum = core::QuorumKind::kTree;
+        cc.quorum = core::QuorumKind::kTree;
       } else if (val == "majority") {
-        cfg.quorum = core::QuorumKind::kMajority;
+        cc.quorum = core::QuorumKind::kMajority;
       } else if (val == "flat-failure") {
-        cfg.quorum = core::QuorumKind::kFlatFailureAware;
+        cc.quorum = core::QuorumKind::kFlatFailureAware;
       } else if (val == "sharded") {
-        cfg.quorum = core::QuorumKind::kSharded;
+        cc.quorum = core::QuorumKind::kSharded;
       } else {
         std::fprintf(stderr, "unknown quorum %s\n", val.c_str());
         return false;
       }
     } else if (flag == "--read-level") {
-      cfg.tree_read_level =
+      cc.tree_read_level =
           static_cast<std::uint32_t>(std::atoi(val.c_str()));
     } else if (flag == "--shards") {
-      cfg.num_shards = static_cast<std::uint32_t>(std::atoi(val.c_str()));
+      cc.num_shards = static_cast<std::uint32_t>(std::atoi(val.c_str()));
     } else if (flag == "--cohort-size") {
-      cfg.cohort_size = static_cast<std::uint32_t>(std::atoi(val.c_str()));
+      cc.cohort_size = static_cast<std::uint32_t>(std::atoi(val.c_str()));
     } else if (flag == "--failures") {
       cfg.failures = static_cast<std::uint32_t>(std::atoi(val.c_str()));
     } else if (flag == "--chk-threshold") {
-      cfg.chk_threshold = static_cast<std::uint32_t>(std::atoi(val.c_str()));
+      rt.chk_threshold = static_cast<std::uint32_t>(std::atoi(val.c_str()));
     } else if (flag == "--batch-window") {
-      cfg.batch_window = sim::msec(std::atof(val.c_str()));
+      rt.batch_window = sim::msec(std::atof(val.c_str()));
     } else if (flag == "--batch-max") {
-      cfg.batch_max_txns = static_cast<std::uint32_t>(std::atoi(val.c_str()));
+      rt.batch_max_txns = static_cast<std::uint32_t>(std::atoi(val.c_str()));
     } else if (flag == "--client-nodes") {
       cfg.client_nodes = static_cast<std::uint32_t>(std::atoi(val.c_str()));
     } else if (flag == "--bench-json") {
@@ -170,8 +172,9 @@ bool write_bench_json(const std::string& path, const ExperimentConfig& cfg,
                "  \"messages\": %llu,\n"
                "  \"invariants_ok\": %s\n"
                "}\n",
-               cfg.app.c_str(), core::to_string(cfg.mode), cfg.num_nodes,
-               cfg.clients, static_cast<unsigned long long>(cfg.seed),
+               cfg.app.c_str(), core::to_string(cfg.cluster.runtime.mode),
+               cfg.cluster.num_nodes, cfg.clients,
+               static_cast<unsigned long long>(cfg.cluster.seed),
                sim::to_seconds(cfg.duration), r.wall_seconds,
                static_cast<unsigned long long>(r.events_executed),
                r.events_per_sec(),
@@ -272,10 +275,10 @@ int main(int argc, char** argv) {
 
   std::printf("app=%s mode=%s nodes=%u clients=%u reads=%.2f calls=%u "
               "objects=%u seed=%llu\n",
-              cfg.app.c_str(), core::to_string(cfg.mode), cfg.num_nodes,
-              cfg.clients, cfg.params.read_ratio, cfg.params.nested_calls,
-              cfg.params.num_objects,
-              static_cast<unsigned long long>(cfg.seed));
+              cfg.app.c_str(), core::to_string(cfg.cluster.runtime.mode),
+              cfg.cluster.num_nodes, cfg.clients, cfg.params.read_ratio,
+              cfg.params.nested_calls, cfg.params.num_objects,
+              static_cast<unsigned long long>(cfg.cluster.seed));
 
   ExperimentResult r = run_experiment(cfg);
 
