@@ -95,13 +95,6 @@ struct ClusterConfig {
   /// QrServer::set_validation_disabled_for_test).  The fuzz harness uses it
   /// to prove the history checker catches serializability violations.
   bool test_skip_commit_validation = false;
-
-  /// Per-node durable commit/checkpoint logging (store::CommitLog).  On
-  /// (default): a crash wipes the replica's whole in-memory store, recovery
-  /// replays the local log and anti-entropy pulls only a version-bounded
-  /// delta.  Off: the PR-5 model -- committed versions survive the crash
-  /// in place and recovery full-pulls a read quorum.
-  bool durable_log = true;
 };
 
 class Cluster {
@@ -165,18 +158,18 @@ class Cluster {
   /// Restart a killed node and bring it back into service:
   ///   1. revive the network endpoint (a fresh incarnation: pre-crash
   ///      traffic is dropped by the liveness-epoch check),
-  ///   2. crash-wipe the replica: under durable logging the whole in-memory
-  ///      store is lost and rebuilt by replaying the node's commit log
-  ///      (image + tail, fp::kRecoverySkipReplay skips it); without it only
-  ///      volatile 2PC state (protections) is wiped and committed versions
-  ///      survive in place,
+  ///   2. crash-wipe the replica: the whole in-memory store is lost and
+  ///      rebuilt by replaying the node's commit log (image + tail;
+  ///      fp::kRecoverySkipReplay skips it), and decided-but-unsettled
+  ///      coordinator confirms are re-sent,
   ///   3. mark the replica *syncing* (it refuses reads/votes), and
   ///   4. spawn an anti-entropy catch-up: pull from a full read quorum of
   ///      live nodes -- version-bounded (the request carries the replayed
-  ///      versions, peers ship only strictly-newer copies) under durable
-  ///      logging, the full store otherwise -- install strictly-newer
-  ///      versions, cut a post-sync checkpoint so the delta is durable,
-  ///      then re-admit the node via QuorumProvider::on_recovery.
+  ///      versions, peers ship only strictly-newer copies) -- install the
+  ///      pulled versions, cut a post-sync checkpoint so the delta is
+  ///      durable, start termination rounds for the prepares the replay
+  ///      left pending, then re-admit the node via
+  ///      QuorumProvider::on_recovery.
   /// Ordering matters for safety: by Q1 some read-quorum member holds every
   /// committed version, so once the pull completes the rejoining replica is
   /// current and may count toward quorums again; re-admitting before the
@@ -185,7 +178,8 @@ class Cluster {
 
   /// Take a checkpoint cut on `node`'s commit log (compact image, discard
   /// tail, carry in-flight prepares).  Chaos schedules and tests drive
-  /// cuts; nothing cuts automatically.  No-op on a dead node.
+  /// these cuts; the server also cuts on its own when the record tail
+  /// outgrows RuntimeConfig::log_max_tail_bytes.  No-op on a dead node.
   void cut_checkpoint(net::NodeId node);
 
   /// Nodes the timeout-based detector has suspected so far (0 when

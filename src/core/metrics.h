@@ -39,13 +39,12 @@
   X(node_recoveries, "replicas that completed catch-up")                      \
   /* Objects shipped over the wire by delta-bounded catch-up pulls (the      \
      rejoining node sent post-log-replay version bounds, servers returned    \
-     only strictly-newer copies).  Compare against recovery_full_objects:    \
-     delta recovery is the point of the commit log, and the test suite       \
-     asserts delta << full on the same workload. */                          \
+     only strictly-newer copies).  The test suite asserts a recovery ships   \
+     less than one peer's full store. */                                     \
   X(recovery_delta_objects, "objects shipped by delta-bounded catch-up pulls") \
-  /* Objects shipped by legacy full-store pulls (no bounds: durable logging  \
-     off, or the local log was unusable). */                                 \
-  X(recovery_full_objects, "objects shipped by full-store catch-up pulls")    \
+  /* Every catch-up pull is delta-bounded now, so nothing counts here; kept  \
+     declared until the perfbench ledger stops naming it (ROADMAP item 3). */\
+  X(recovery_full_objects, "always 0: every catch-up pull is delta-bounded")  \
   X(log_replay_applies, "apply ops replayed from local logs")                 \
   X(checkpoint_cuts, "commit-log cuts taken cluster-wide")                    \
   /* Recovery attempts that exhausted every delta-pull round without         \

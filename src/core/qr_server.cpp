@@ -85,7 +85,8 @@ QrServer::QrServer(net::RpcEndpoint& rpc, Metrics& metrics)
       });
   rpc.register_service(msg::kSyncPull,
                        [this](net::NodeId from, const Bytes& b) -> std::optional<Bytes> {
-                         SyncPullResponse resp = handle_sync_pull(from, b);
+                         SyncPullResponse resp =
+                             handle_sync_pull(from, SyncPullRequest::decode(b));
                          Writer w(rpc_.acquire_buffer(msg::kSyncPull));
                          resp.encode_into(w);
                          return std::move(w).take();
@@ -115,7 +116,7 @@ FaultAction QrServer::fault(const char* point) {
 }
 
 void QrServer::seed_object(ObjectId id, Bytes data, Version version) {
-  if (durable_log_) log_.append_apply(id, version, data, liveness_epoch());
+  log_.append_apply(id, version, data, liveness_epoch());
   store_.seed(id, std::move(data), version);
 }
 
@@ -125,6 +126,7 @@ void QrServer::cut_checkpoint() {
   // post-cut confirm resolves against nothing and its writes are lost.
   const bool carry = fault(fp::kChkCutCarry) != FaultAction::kSkip;
   log_.cut(store_, liveness_epoch(), carry);
+  ++metrics_.checkpoint_cuts;
 }
 
 std::size_t QrServer::replay_commit_log() {
@@ -140,15 +142,14 @@ std::size_t QrServer::replay_commit_log() {
 }
 
 void QrServer::maybe_autocut() {
-  if (max_tail_bytes_ == 0 || !durable_log_) return;
+  if (max_tail_bytes_ == 0) return;
   if (log_.tail_bytes() < max_tail_bytes_) return;
   cut_checkpoint();
   ++metrics_.log_autocuts;
-  ++metrics_.checkpoint_cuts;
 }
 
-SyncPullResponse QrServer::handle_sync_pull(net::NodeId from,
-                                            const Bytes& payload) const {
+SyncPullResponse QrServer::handle_sync_pull(
+    net::NodeId from, const SyncPullRequest& req) const {
   SyncPullResponse resp;
   // A replica that is itself catching up must not seed another one: its
   // store can be stale and the puller counts this reply toward a full read
@@ -156,11 +157,10 @@ SyncPullResponse QrServer::handle_sync_pull(net::NodeId from,
   resp.ok = !syncing_;
   if (!resp.ok) return resp;
   resp.total_objects = store_.num_objects();
-  // The puller's post-replay bounds, ids ascending (empty payload = legacy
-  // full pull).  Only strictly-newer copies ship: an object the puller
-  // already holds at an equal version is pure wasted transfer.
-  std::vector<SyncBound> have;
-  if (!payload.empty()) have = SyncPullRequest::decode(payload).have;
+  // The puller's post-replay bounds, ids ascending.  Only strictly-newer
+  // copies ship: an object the puller already holds at an equal version is
+  // pure wasted transfer.
+  const std::vector<SyncBound>& have = req.have;
   resp.entries.reserve(store_.num_objects());
   // Order fixed by the sort below.
   for (const auto& [id, e] : store_.entries()) {
@@ -352,8 +352,7 @@ BatchVoteResponse QrServer::vote(TxnId txn,
   if (!updates.empty()) term_.erase(txn);
   // WAL discipline: the vote is durable before the reply leaves the node.
   // Read-only write-sets log nothing (there is nothing to replay).
-  if (durable_log_ && !updates.empty() &&
-      fault(fp::kLogPrepare) != FaultAction::kSkip) {
+  if (!updates.empty() && fault(fp::kLogPrepare) != FaultAction::kSkip) {
     std::vector<store::LoggedWrite> writes;
     writes.reserve(updates.size());
     for (const WriteEntry& e : updates) {
@@ -406,8 +405,7 @@ void QrServer::confirm(TxnId txn, bool commit,
   const bool any_local =
       std::any_of(updates.begin(), updates.end(),
                   [&](const WriteEntry& e) { return replicated_here(e.id); });
-  if (durable_log_ && any_local &&
-      fault(fp::kLogConfirm) != FaultAction::kSkip) {
+  if (any_local && fault(fp::kLogConfirm) != FaultAction::kSkip) {
     log_.append_confirm(txn, commit, liveness_epoch());
     maybe_autocut();
   }
@@ -442,7 +440,7 @@ void QrServer::record_outcome(TxnId txn, bool commit) {
 void QrServer::start_termination(TxnId txn, bool replayed) {
   if (term_.find(txn) != term_.end()) return;  // already running
   const auto pit = prepared_.find(txn);
-  if (pit == prepared_.end()) return;  // no vote metadata (legacy rigs)
+  if (pit == prepared_.end()) return;  // no vote metadata recorded here
   if (quorums_ == nullptr && pit->second.coordinator >=
                                  rpc_.network().num_nodes()) {
     return;  // standalone rig with hand-rolled ids: nobody to ask
@@ -591,8 +589,7 @@ void QrServer::resolve_indoubt(TxnId txn, bool commit) {
   // in the log, and the writes live only there.
   std::vector<store::LoggedWrite> writes;
   if (const auto* pending = log_.find_pending(txn)) writes = *pending;
-  if (durable_log_ && !writes.empty() &&
-      fault(fp::kLogConfirm) != FaultAction::kSkip) {
+  if (!writes.empty() && fault(fp::kLogConfirm) != FaultAction::kSkip) {
     log_.append_confirm(txn, commit, liveness_epoch());
     maybe_autocut();
   }

@@ -14,8 +14,15 @@
 //     of one (steps = 1).
 //   * kCommitConfirm / kBatchCommitConfirm -- apply (or roll back) the
 //     protected write-set, again through one routine.
-//   * kSyncPull      -- recovery catch-up: serve the full committed store to
-//     a rejoining replica (Cluster::recover_node's anti-entropy pull).
+//   * kSyncPull      -- recovery catch-up: serve a rejoining replica the
+//     committed copies strictly newer than the versions its log replay
+//     rebuilt (Cluster::recover_node's version-bounded anti-entropy pull).
+//   * kTxnStatusRequest / kTxnStatusResponse -- cooperative termination
+//     queries and answers for in-doubt prepares (below).
+//
+// Every vote that takes protections and every confirm that settles them is
+// written ahead to the node's commit log (store::CommitLog), so a crash
+// loses only the in-memory store and recovery replays the log.
 //
 // Protections carry a coordinator-liveness lease: one held longer than the
 // lease means the coordinator died between vote and confirm (a confirm is
@@ -52,7 +59,8 @@ namespace qrdtm::core {
 
 class QrServer {
  public:
-  /// Wires the three QR services into `rpc` and counts into `metrics`.
+  /// Registers the QR services listed above into `rpc` and counts into
+  /// `metrics`.
   /// The server must outlive the endpoint's registered handlers, and the
   /// metrics sink must outlive the server (the Cluster owns all three).
   QrServer(net::RpcEndpoint& rpc, Metrics& metrics);
@@ -62,19 +70,10 @@ class QrServer {
 
   net::NodeId id() const { return id_; }
 
-  /// The per-node durable commit log (the in-sim "disk").  Populated only
-  /// while durable logging is on; survives a crash by construction (crash =
-  /// wiping the ReplicaStore, never the log).
+  /// The per-node durable commit log (the in-sim "disk"); survives a crash
+  /// by construction (crash = wiping the ReplicaStore, never the log).
   store::CommitLog& commit_log() { return log_; }
   const store::CommitLog& commit_log() const { return log_; }
-
-  /// Durable-logging regime.  Off (the pre-commit-log default for
-  /// standalone rigs): committed versions survive a crash wholesale and
-  /// recovery full-pulls a read quorum.  On (ClusterConfig default): the
-  /// store is truly volatile, crashes wipe it, and recovery replays the log
-  /// then pulls a version-bounded delta.  Set before seeding.
-  void set_durable_log(bool on) { durable_log_ = on; }
-  bool durable_log() const { return durable_log_; }
 
   /// Attach the fault-point registry (nullptr = all points unarmed).
   void set_fault_points(FaultPointRegistry* faults) { faults_ = faults; }
@@ -95,13 +94,14 @@ class QrServer {
   void set_max_tail_bytes(std::size_t bytes) { max_tail_bytes_ = bytes; }
   std::size_t max_tail_bytes() const { return max_tail_bytes_; }
 
-  /// Seed an object at setup time: installs it in the store and, under
-  /// durable logging, records it so a crashed node can replay it.
+  /// Seed an object at setup time: installs it in the store and logs it so
+  /// a crashed node can replay it.
   void seed_object(ObjectId id, Bytes data, Version version = 1);
 
   /// Take a checkpoint cut on the commit log: snapshot the store image,
   /// carry in-flight prepares (unless fp::kChkCutCarry is armed kSkip --
-  /// the Greengage bug), discard the record tail.
+  /// the Greengage bug), discard the record tail.  Counts every cut into
+  /// Metrics::checkpoint_cuts.
   void cut_checkpoint();
 
   /// Crash recovery, local half: wipe the store and rebuild it from the
@@ -229,7 +229,7 @@ class QrServer {
                     const Bytes& payload);
 
   SyncPullResponse handle_sync_pull(net::NodeId from,
-                                    const Bytes& payload) const;
+                                    const SyncPullRequest& req) const;
 
   /// Whether this node replicates `id` (true under full replication).
   bool replicated_here(ObjectId id) const {
@@ -254,7 +254,6 @@ class QrServer {
   Metrics& metrics_;
   store::ReplicaStore store_;
   store::CommitLog log_;
-  bool durable_log_ = false;
   std::size_t max_tail_bytes_ = 0;
   sim::Tick protection_lease_ = 0;
   bool syncing_ = false;

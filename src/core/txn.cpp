@@ -530,11 +530,12 @@ void Txn::rollback_to(ChkEpoch epoch) {
 // ------------------------------------------------------------ TxnRuntime
 
 TxnRuntime::TxnRuntime(net::RpcEndpoint& rpc, quorum::QuorumProvider& quorums,
-                       Metrics& metrics, RuntimeConfig config,
-                       std::uint64_t seed)
+                       Metrics& metrics, store::CommitLog& local_log,
+                       RuntimeConfig config, std::uint64_t seed)
     : rpc_(rpc),
       quorums_(quorums),
       metrics_(metrics),
+      local_log_(local_log),
       config_(config),
       rng_(seed),
       // Scope ids are node-prefixed so ids never collide across nodes; id 0
@@ -917,7 +918,7 @@ sim::Task<RoundVotes> TxnRuntime::two_phase_commit(Request req) {
     // coordinator restart therefore proves: no decision in the log => no
     // confirm was ever sent => in-doubt replicas may presumed-abort safely.
     // Read-only rounds take no protections and log nothing.
-    const bool log_decision = local_log_ != nullptr && nwrites > 0;
+    const bool log_decision = nwrites > 0;
     if (log_decision) {
       const FaultAction at_decision =
           faults_ != nullptr ? faults_->fire(fp::kDecisionBeforeLog, node())
@@ -939,7 +940,7 @@ sim::Task<RoundVotes> TxnRuntime::two_phase_commit(Request req) {
         d.confirm_kind = Wire::kConfirm;
         d.members.assign(wq.begin(), wq.end());
         d.payload = encoded;
-        local_log_->append_decision(id, std::move(d));
+        local_log_.append_decision(id, std::move(d));
       }
     }
 
@@ -963,7 +964,7 @@ sim::Task<RoundVotes> TxnRuntime::two_phase_commit(Request req) {
     // The broadcast completed in this incarnation: stop re-driving it.  A
     // coordinator that died mid-broadcast must NOT settle -- recovery
     // replays the decision and re-sends (receivers dedupe duplicates).
-    if (log_decision && !died_mid_broadcast) local_log_->settle_decision(id);
+    if (log_decision && !died_mid_broadcast) local_log_.settle_decision(id);
 
     // Charge the one-way confirm propagation once per round (paper: the
     // commit-confirm cost is the distance to the write quorum).  This also

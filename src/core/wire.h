@@ -134,10 +134,9 @@ struct SyncBound {
 
 /// Recovery anti-entropy pull.  `have` lists the puller's post-log-replay
 /// versions, ids ascending, so the server ships only strictly-newer copies
-/// (the version-bounded delta).  An empty `have` requests the full store --
-/// the pre-commit-log behaviour, still used when durable logging is off or
-/// the local log was unusable.  (An empty *payload* on the wire is treated
-/// the same, for compatibility with the PR-5 request format.)
+/// (the version-bounded delta).  A puller whose replay rebuilt nothing (its
+/// log was lost or voided) sends an empty `have` and so receives every
+/// copy it replicates.
 struct SyncPullRequest {
   std::vector<SyncBound> have;
 

@@ -1,14 +1,11 @@
 // Per-node durable commit/checkpoint log (the deterministic in-sim "disk").
 //
-// PR-5's recovery model assumed committed versions survive a crash wholesale
-// (ReplicaStore::clear_volatile keeps them) and re-pulled a FULL read
-// quorum's state on every rejoin -- O(store) per restart.  The commit log
-// makes durability explicit instead: the replica's in-memory store is truly
-// volatile, and what survives a crash is this log -- an append-only record
-// stream compacted by periodic checkpoint cuts.  A restarting node replays
-// the log locally and then asks its read quorum only for a version-bounded
-// delta (SyncPullRequest carries per-object bounds), so anti-entropy ships
-// what the node missed while dead, not everything it already has.
+// A replica's in-memory store is volatile: what survives a crash is this
+// log -- an append-only record stream compacted by periodic checkpoint
+// cuts.  A restarting node replays the log locally and then asks its read
+// quorum only for a version-bounded delta (SyncPullRequest carries
+// per-object bounds), so anti-entropy ships what the node missed while
+// dead, not everything it already has.
 //
 // Record stream (each record length-prefixed so a torn tail -- a partial
 // final record from a crash mid-flush -- is dropped cleanly, never

@@ -96,17 +96,6 @@ bool ReplicaStore::lease_expired(ObjectId id, std::uint64_t now,
   return e && e->is_protected && now >= e->protect_tick + lease;
 }
 
-void ReplicaStore::clear_volatile() {
-  // Resetting flags entry-by-entry (any order; entries are independent).
-  // qrdtm-lint: allow(det-unordered-iter)
-  for (auto& [id, e] : entries_) {
-    e.is_protected = false;
-    e.protector = 0;
-    e.protect_tick = 0;
-    e.prepared = false;
-  }
-}
-
 void ReplicaStore::clear_all() { entries_.clear(); }
 
 }  // namespace qrdtm::store

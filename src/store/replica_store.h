@@ -92,14 +92,9 @@ class ReplicaStore {
   /// not) -- the trigger for a termination round on prepared entries.
   bool lease_expired(ObjectId id, std::uint64_t now, std::uint64_t lease) const;
 
-  /// Wipe all volatile 2PC state (protections) while keeping committed
-  /// versions.  Models a process restart: the protocol's in-flight
-  /// bookkeeping lives in memory, committed data is durable.
-  void clear_volatile();
-
-  /// Wipe EVERYTHING, committed versions included.  Models a crash under the
-  /// durable-commit-log regime: memory is volatile, the CommitLog is the
-  /// disk, and recovery rebuilds the store via CommitLog::replay_into.
+  /// Wipe EVERYTHING, committed versions included.  Models a crash: memory
+  /// is volatile, the CommitLog is the disk, and recovery rebuilds the
+  /// store via CommitLog::replay_into.
   void clear_all();
 
   std::size_t num_objects() const { return entries_.size(); }

@@ -1,7 +1,6 @@
 // CommitLog unit tests: record round-trips, torn-tail truncation, replay
 // idempotence, the Greengage carry regression at the log level, and the
-// cluster-level equivalence of delta recovery (durable log + version-bounded
-// pull) with the legacy full pull.
+// cluster-level delta recovery (log replay + version-bounded pull).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -193,26 +192,41 @@ sim::Task<void> run_bounded(Cluster* c, net::NodeId node, TxnBody body,
       std::move(body), 50);
 }
 
-struct RecoveredState {
-  std::map<ObjectId, std::pair<Version, Bytes>> objects;
-  Metrics metrics;
-};
+using StoreImage = std::map<ObjectId, std::pair<Version, Bytes>>;
 
-// One seeded workload, parameterized only by the durability regime: seed a
-// couple dozen objects, commit some writes, kill node 7, commit more writes
-// it misses, recover it.  Returns node 7's store plus the run's metrics.
-RecoveredState run_recovery_workload(bool durable_log) {
+// `node`'s copy of every object in `objs`: version and data.
+StoreImage store_image(Cluster& c, net::NodeId node,
+                       const std::vector<ObjectId>& objs) {
+  StoreImage out;
+  for (ObjectId id : objs) {
+    const store::ReplicaEntry* e = c.server(node).store().find(id);
+    if (e == nullptr) {  // ASSERT_* needs a void function; fail by hand
+      ADD_FAILURE() << "object " << id << " missing on node " << node;
+      continue;
+    }
+    out[id] = {e->version, e->data};
+  }
+  return out;
+}
+
+// Acceptance: seed a couple dozen objects, commit some writes, kill node 7,
+// commit more writes it misses, recover it.  Node 7 must land in a store
+// byte-identical to node 0's -- under kFlatFailureAware the write quorum is
+// every live node, so node 0 saw every commit -- while the version-bounded
+// pull ships less than one peer's full store.
+TEST(CommitLogCluster, DeltaRecoveryMatchesFullPull) {
   ClusterConfig cfg;
   cfg.quorum = QuorumKind::kFlatFailureAware;
   cfg.seed = 42;
-  cfg.durable_log = durable_log;
   Cluster c(cfg);
 
+  constexpr std::uint64_t kObjects = 24;
   std::vector<ObjectId> objs;
-  for (int i = 0; i < 24; ++i) objs.push_back(c.seed_new_object(Bytes{1}));
+  for (std::uint64_t i = 0; i < kObjects; ++i) {
+    objs.push_back(c.seed_new_object(Bytes{1}));
+  }
 
-  // Writes node 7 sees (and, under durable logging, replays after the
-  // crash).
+  // Writes node 7 sees (and replays after the crash).
   for (int i = 0; i < 6; ++i) {
     bool committed = false;
     c.simulator().spawn(run_bounded(&c, 0, bump_body(objs[i]), &committed));
@@ -235,57 +249,24 @@ RecoveredState run_recovery_workload(bool durable_log) {
   EXPECT_FALSE(c.server(7).syncing());
   EXPECT_EQ(c.metrics().node_recoveries, 1u);
 
-  RecoveredState out;
-  out.metrics = c.metrics();
-  for (ObjectId id : objs) {
-    const store::ReplicaEntry* e = c.server(7).store().find(id);
-    if (e == nullptr) {  // ASSERT_* needs a void function; fail by hand
-      ADD_FAILURE() << "object " << id << " missing after recovery";
-      continue;
-    }
-    out.objects[id] = {e->version, e->data};
-  }
-  return out;
-}
-
-// Acceptance (ISSUE 8): the delta recovery must land node 7 in a store
-// byte-identical to what the legacy full pull produces, while transferring
-// far fewer objects over the wire.
-TEST(CommitLogCluster, DeltaRecoveryMatchesFullPull) {
-  const RecoveredState delta = run_recovery_workload(/*durable_log=*/true);
-  const RecoveredState full = run_recovery_workload(/*durable_log=*/false);
-
   // Same recovered bytes: version AND data for every object.
-  ASSERT_EQ(delta.objects.size(), full.objects.size());
-  for (const auto& [id, vf] : full.objects) {
-    const auto it = delta.objects.find(id);
-    ASSERT_NE(it, delta.objects.end());
-    EXPECT_EQ(it->second.first, vf.first) << "version mismatch on " << id;
-    EXPECT_EQ(it->second.second, vf.second) << "data mismatch on " << id;
-  }
+  EXPECT_EQ(store_image(c, 7, objs), store_image(c, 0, objs));
 
-  // The regimes route their transfer through different counters.
-  EXPECT_EQ(delta.metrics.recovery_full_objects, 0u);
-  EXPECT_EQ(full.metrics.recovery_delta_objects, 0u);
-  EXPECT_GT(delta.metrics.recovery_delta_objects, 0u)
-      << "node 7 missed three commits; the delta cannot be empty";
-  EXPECT_GT(full.metrics.recovery_full_objects, 0u);
-
-  // The whole point: the version-bounded pull ships a small fraction of
-  // the store (3 changed objects out of 24 seeded, per answering peer).
-  EXPECT_LT(delta.metrics.recovery_delta_objects * 4,
-            full.metrics.recovery_full_objects);
+  // The whole point: node 7 missed three commits, so the delta is not
+  // empty, yet the whole pull ships less than one peer's full store.
+  const Metrics& m = c.metrics();
+  EXPECT_GT(m.recovery_delta_objects, 0u);
+  EXPECT_LT(m.recovery_delta_objects, kObjects);
 
   // Replay did real work before the pull, and the post-sync cut persisted
   // the pulled delta.
-  EXPECT_GT(delta.metrics.log_replay_applies, 0u);
-  EXPECT_GE(delta.metrics.checkpoint_cuts, 1u);
-  EXPECT_EQ(full.metrics.log_replay_applies, 0u);
+  EXPECT_GT(m.log_replay_applies, 0u);
+  EXPECT_GE(m.checkpoint_cuts, 1u);
 }
 
 // An equal-version object must not ship at all: recover a node that missed
-// nothing and assert the delta is empty (the PR-5 full pull re-sent every
-// object here).
+// nothing and assert the delta is empty (an unbounded pull would re-send
+// every object here).
 TEST(CommitLogCluster, NoMissedCommitsMeansEmptyDelta) {
   ClusterConfig cfg;
   cfg.quorum = QuorumKind::kFlatFailureAware;

@@ -210,6 +210,29 @@ TEST(QrServer, ConfirmAppliesBasePlusOneAndUnprotects) {
   EXPECT_FALSE(rig.store().protected_against(1, 12345));
 }
 
+// Every server logs its votes, the standalone rig included: a commit vote
+// writes its prepare ahead of the reply and marks the protection prepared,
+// and the confirm's record settles it.
+TEST(QrServer, CommitVoteLogsPrepareAndConfirmSettlesIt) {
+  Rig rig;
+  rig.store().seed(1, Bytes{}, 5);
+  CommitRequest req;
+  req.txn = 100;
+  req.writeset.push_back(CommitWriteEntry{1, 5, Bytes{0x09}});
+  ASSERT_TRUE(rig.vote(req).commit);
+  EXPECT_EQ(rig.server->commit_log().in_flight(), 1u);
+  EXPECT_TRUE(rig.store().prepared(1));
+
+  CommitConfirm c;
+  c.txn = 100;
+  c.commit = true;
+  c.writeset = req.writeset;
+  rig.confirm(c);
+  EXPECT_EQ(rig.server->commit_log().in_flight(), 0u);
+  EXPECT_FALSE(rig.store().prepared(1));
+  EXPECT_EQ(rig.store().version_of(1), 6u);
+}
+
 TEST(QrServer, AbortConfirmOnlyUnprotects) {
   Rig rig;
   rig.store().seed(1, Bytes{0x01}, 5);

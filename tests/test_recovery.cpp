@@ -163,16 +163,21 @@ TEST(Recovery, PreCrashMessagesAreNotReplayedAfterRevive) {
 
 // Acceptance: orphaned-protection cleanup.  A coordinator that dies between
 // the vote and the confirm leaves its write-set protected on every voter;
-// the protection lease must shed it so a later writer commits.  Without a
-// durable log the vote is never *prepared*, so the lease may shed it freely
-// -- the prepared case must instead run the termination protocol and is
-// covered by test_termination.cpp (DESIGN.md §17).
+// the protection lease must shed it so a later writer commits.  With
+// fp::kLogPrepare skipped on every node for the whole run no vote is ever
+// made durable, so no protection is *prepared* and the lease may shed it
+// freely -- the prepared case must instead run the termination protocol
+// and is covered by test_termination.cpp (DESIGN.md §17).  The point stays
+// armed after the kill: the doomed round's in-flight votes must not land
+// durable either.
 TEST(Recovery, OrphanedProtectionShedByLease) {
   ClusterConfig cfg;
   cfg.seed = 15;
   cfg.protection_lease = sim::msec(300);
-  cfg.durable_log = false;
   Cluster c(cfg);
+  c.fault_points().arm(fp::kLogPrepare, FaultAction::kSkip,
+                       FaultPointRegistry::kAnyNode,
+                       FaultPointRegistry::kUnlimited);
   const ObjectId obj = c.seed_new_object(Bytes{1});
 
   // Doomed coordinator on node 4: run until its commit-request votes have
@@ -198,9 +203,12 @@ TEST(Recovery, OrphanedProtectionShedByLease) {
   c.simulator().spawn(run_bounded(&c, 0, bump_body(obj), 50, &committed));
   c.run_to_completion();
 
-  EXPECT_TRUE(committed) << "object stayed wedged behind an orphaned 2PC "
+  // ASSERT: the read below retries until it commits, so it would spin
+  // forever behind a protection that was never shed.
+  ASSERT_TRUE(committed) << "object stayed wedged behind an orphaned 2PC "
                             "protection";
   EXPECT_GT(c.metrics().lease_breaks, 0u);
+  EXPECT_GT(c.fault_points().hits(fp::kLogPrepare), 0u);
   // Shedding is lazy (checked on access), so replicas outside the second
   // writer's quorum may still carry the stale flag; what matters is that
   // the new value committed and is readable everywhere it was written.
